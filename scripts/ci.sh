@@ -4,7 +4,7 @@
 #
 #   scripts/ci.sh             # all legs, tier-1 first
 #   scripts/ci.sh tier1       # configure + build + full ctest (the gate)
-#   scripts/ci.sh release     # Release build + smoke-labeled benches + ctest
+#   scripts/ci.sh release     # Release -Werror build + smoke benches + ctest
 #   scripts/ci.sh tsan        # ThreadSanitizer leg: concurrency-prone suites
 #   scripts/ci.sh simd        # SIMD matrix: -msse4.1, scalar-only, ASan/UBSan
 #
@@ -24,8 +24,9 @@ tier1() {
 }
 
 release() {
-  echo "== release: -O2 build, full ctest, bench smoke legs =="
-  cmake -B build-rel -S . -DCMAKE_BUILD_TYPE=Release
+  echo "== release: -O2 -Werror build, full ctest, bench smoke legs =="
+  # -Werror keeps the tree free of compiler warnings (-Wall -Wextra).
+  cmake -B build-rel -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror
   cmake --build build-rel -j"$JOBS"
   # Optimizer-dependent bugs (UB, uninitialized reads) only surface at -O2.
   ctest --test-dir build-rel --output-on-failure -j"$JOBS" --timeout 120

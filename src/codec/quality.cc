@@ -16,7 +16,7 @@ Result<QualityLadder> MakeQualityLadder(int count, int hi_qp, int lo_qp) {
     int qp = count == 1
                  ? hi_qp
                  : hi_qp + (lo_qp - hi_qp) * i / (count - 1);
-    ladder.push_back({"q" + std::to_string(i), qp});
+    ladder.push_back({std::string("q").append(std::to_string(i)), qp});
   }
   return ladder;
 }

@@ -307,7 +307,7 @@ QualityLadder StoreLadderFor(const PhysicalPlan& plan) {
     return {lead.ladder[rung]};
   }
   int qp = plan.encode_qp >= 0 ? plan.encode_qp : lead.ladder[0].qp;
-  return {{"q" + std::to_string(qp), qp}};
+  return {{std::string("q").append(std::to_string(qp)), qp}};
 }
 
 Result<std::vector<std::vector<uint8_t>>> SplitPieceToCells(
@@ -411,7 +411,7 @@ Result<QueryResult> ExecutePlan(const PhysicalPlan& plan,
         if (options.naive_full_scan && plan.transcode_free) {
           // The naive baseline re-encodes even elided plans.
           int qp = plan.encode_qp >= 0 ? plan.encode_qp : lead.ladder[0].qp;
-          ladder = {{"q" + std::to_string(qp), qp}};
+          ladder = {{std::string("q").append(std::to_string(qp)), qp}};
         } else {
           ladder = StoreLadderFor(plan);
         }

@@ -64,26 +64,21 @@ struct LruCache::AsyncHandle::State {
   mutable std::mutex mu;
   std::condition_variable cv;
   bool done = false;
-  bool hit = false;              ///< Served from cache at request time.
   bool prefetch_origin = false;  ///< Load was started by a prefetch.
   bool demanded = false;         ///< A demand caller shares this load.
   Status status = Status::OK();
   Value value;
 };
 
-bool LruCache::AsyncHandle::hit() const {
-  if (state_ == nullptr) return false;
-  std::lock_guard<std::mutex> lock(state_->mu);
-  return state_->hit;
-}
-
 bool LruCache::AsyncHandle::ready() const {
+  if (hit_) return true;
   if (state_ == nullptr) return false;
   std::lock_guard<std::mutex> lock(state_->mu);
   return state_->done;
 }
 
 Result<LruCache::Value> LruCache::AsyncHandle::Wait() const {
+  if (hit_) return cached_;
   std::unique_lock<std::mutex> lock(state_->mu);
   state_->cv.wait(lock, [this] { return state_->done; });
   if (!state_->status.ok()) return state_->status;
@@ -113,73 +108,34 @@ LruCache::Value LruCache::Get(PackedCellKey key) {
 void LruCache::Put(PackedCellKey key, Value value) {
   if (value == nullptr) return;
   std::lock_guard<std::mutex> lock(mu_);
-  PutLocked(table_.try_emplace(key).first, std::move(value),
-            /*prefetched=*/false);
+  auto it = table_.try_emplace(key).first;
+  PutLocked(key, it->second, std::move(value), /*prefetched=*/false);
+  EraseSlotIfEmptyLocked(it);
 }
 
-Result<LruCache::Value> LruCache::GetOrCompute(PackedCellKey key,
-                                               const Loader& loader,
-                                               bool* was_hit,
-                                               bool* consumed_prefetch) {
-  if (was_hit != nullptr) *was_hit = false;
-  if (consumed_prefetch != nullptr) *consumed_prefetch = false;
-  std::unique_lock<std::mutex> lock(mu_);
-  // One try_emplace covers every case with a single hash of the key: a hit
-  // (slot cached), a coalesce (slot in flight), or a miss that makes us the
-  // loader (slot freshly inserted — it doubles as the in-flight marker).
-  auto it = table_.try_emplace(key).first;
-  Slot& slot = it->second;
-  if (slot.cached) {
-    ++stats_.hits;
-    HitCounter()->Add();
-    bool consumed = TouchLocked(&*slot.entry);
-    if (consumed_prefetch != nullptr) *consumed_prefetch = consumed;
-    lru_.splice(lru_.begin(), lru_, slot.entry);
-    if (was_hit != nullptr) *was_hit = true;
-    return slot.entry->value;
-  }
-  ++stats_.misses;
-  MissCounter()->Add();
-
-  if (slot.inflight != nullptr) {
-    // Someone else is already loading this key: wait for their result.
-    std::shared_ptr<AsyncHandle::State> state = slot.inflight;
-    ++stats_.coalesced;
-    CoalescedCounter()->Add();
-    {
-      std::lock_guard<std::mutex> state_lock(state->mu);
-      if (state->prefetch_origin && !state->demanded) {
-        ++stats_.prefetch_hits;
-        PrefetchHitCounter()->Add();
-        if (consumed_prefetch != nullptr) *consumed_prefetch = true;
-      }
-      state->demanded = true;
-    }
-    lock.unlock();
-    std::unique_lock<std::mutex> state_lock(state->mu);
-    state->cv.wait(state_lock, [&state] { return state->done; });
-    if (!state->status.ok()) return state->status;
-    return state->value;
-  }
-
-  // We are the loader for this key.
-  auto state = std::make_shared<AsyncHandle::State>();
-  state->demanded = true;
-  slot.inflight = state;
-  lock.unlock();
-  Result<Value> loaded = loader();
-  Complete(key, state, loaded);
-  return loaded;
+Result<LruCache::Value> LruCache::GetOrCompute(
+    PackedCellKey key, FunctionRef<Result<Value>()> loader, bool* was_hit,
+    bool* consumed_prefetch) {
+  // With no pool the loader runs inline, before GetOrComputeAsync returns,
+  // so the Loader wrapping this non-owning reference never outlives it.
+  AsyncHandle handle = GetOrComputeAsync(
+      key, [&loader] { return Loader(loader); }, /*pool=*/nullptr,
+      LoadKind::kDemand, consumed_prefetch);
+  if (was_hit != nullptr) *was_hit = handle.hit();
+  return handle.Wait();
 }
 
 LruCache::AsyncHandle LruCache::GetOrComputeAsync(PackedCellKey key,
-                                                  Loader loader,
+                                                  LoaderFactory make_loader,
                                                   ThreadPool* pool,
                                                   LoadKind kind,
                                                   bool* consumed_prefetch) {
   const bool demand = kind == LoadKind::kDemand;
   if (consumed_prefetch != nullptr) *consumed_prefetch = false;
   std::unique_lock<std::mutex> lock(mu_);
+  // One try_emplace covers every case with a single hash of the key: a hit
+  // (slot cached), a coalesce (slot in flight), or a miss that makes us the
+  // loader (slot freshly inserted — it doubles as the in-flight marker).
   auto it = table_.try_emplace(key).first;
   Slot& slot = it->second;
   if (slot.cached) {
@@ -190,11 +146,7 @@ LruCache::AsyncHandle LruCache::GetOrComputeAsync(PackedCellKey key,
       if (consumed_prefetch != nullptr) *consumed_prefetch = consumed;
       lru_.splice(lru_.begin(), lru_, slot.entry);
     }
-    auto state = std::make_shared<AsyncHandle::State>();
-    state->done = true;
-    state->hit = true;
-    state->value = slot.entry->value;
-    return AsyncHandle(std::move(state));
+    return AsyncHandle(slot.entry->value);
   }
   if (demand) {
     ++stats_.misses;
@@ -202,6 +154,7 @@ LruCache::AsyncHandle LruCache::GetOrComputeAsync(PackedCellKey key,
   }
 
   if (slot.inflight != nullptr) {
+    // Someone else is already loading this key: share their result.
     std::shared_ptr<AsyncHandle::State> state = slot.inflight;
     if (demand) {
       ++stats_.coalesced;
@@ -217,6 +170,7 @@ LruCache::AsyncHandle LruCache::GetOrComputeAsync(PackedCellKey key,
     return AsyncHandle(std::move(state));
   }
 
+  // We are the loader for this key.
   auto state = std::make_shared<AsyncHandle::State>();
   state->prefetch_origin = !demand;
   state->demanded = demand;
@@ -225,41 +179,46 @@ LruCache::AsyncHandle LruCache::GetOrComputeAsync(PackedCellKey key,
     ++stats_.prefetch_issued;
     PrefetchIssuedCounter()->Add();
   }
+  // A node pointer, unlike `it`, survives rehashes by other callers while
+  // the lock is released.
+  Table::value_type* registered = &*it;
   lock.unlock();
 
+  Loader loader = make_loader();
   if (pool == nullptr) {
-    Complete(key, state, loader());
+    Complete(*registered, state, loader());
     return AsyncHandle(std::move(state));
   }
   bool accepted = pool->Submit(
-      [this, key, loader = std::move(loader), state] {
-        Complete(key, state, loader());
+      [this, registered, loader = std::move(loader), state] {
+        Complete(*registered, state, loader());
       },
       demand ? TaskPriority::kHigh : TaskPriority::kLow);
   if (!accepted) {
     // Pool shut down: resolve the handle so no waiter hangs, cache nothing.
-    Complete(key, state, Status::Aborted("I/O pool shut down"));
+    Complete(*registered, state, Status::Aborted("I/O pool shut down"));
   }
   return AsyncHandle(std::move(state));
 }
 
-void LruCache::Complete(PackedCellKey key,
+void LruCache::Complete(Table::value_type& registered,
                         const std::shared_ptr<AsyncHandle::State>& state,
                         Result<Value> loaded) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = table_.find(key);
+    const PackedCellKey key = registered.first;
+    Slot& slot = registered.second;
     // Only the thread that registered `state` completes this key, and
-    // nothing else clears an in-flight marker, so the slot must still be
-    // here holding it.
-    it->second.inflight = nullptr;
+    // nothing else clears an in-flight marker, so the slot is still here
+    // holding it.
+    slot.inflight = nullptr;
     std::lock_guard<std::mutex> state_lock(state->mu);
     state->done = true;
     if (loaded.ok()) {
       state->value = *loaded;
       // A prefetched value nobody demanded yet stays tagged so its eventual
       // consumption (or eviction) is attributed to the prefetcher.
-      PutLocked(it, std::move(*loaded),
+      PutLocked(key, slot, std::move(*loaded),
                 state->prefetch_origin && !state->demanded);
     } else {
       state->status = loaded.status();
@@ -270,8 +229,10 @@ void LruCache::Complete(PackedCellKey key,
         ++stats_.prefetch_wasted;
         PrefetchWastedCounter()->Add();
       }
-      EraseSlotIfEmptyLocked(it);
     }
+    // Only an uncached outcome (error, oversize, admission reject) pays a
+    // second hash here.
+    if (!slot.cached) table_.erase(key);
   }
   state->cv.notify_all();
 }
@@ -334,12 +295,9 @@ CacheStats LruCache::stats() const {
   return stats_;
 }
 
-void LruCache::PutLocked(Table::iterator it, Value value, bool prefetched) {
-  if (value == nullptr) {
-    EraseSlotIfEmptyLocked(it);
-    return;
-  }
-  Slot& slot = it->second;
+void LruCache::PutLocked(PackedCellKey key, Slot& slot, Value value,
+                         bool prefetched) {
+  if (value == nullptr) return;
   if (value->size() > options_.capacity_bytes) {
     // Too big to ever fit: refuse to cache, but loudly. Waiters still get
     // the value (Complete resolves their state before calling us).
@@ -350,7 +308,6 @@ void LruCache::PutLocked(Table::iterator it, Value value, bool prefetched) {
       ++stats_.prefetch_wasted;
       PrefetchWastedCounter()->Add();
     }
-    EraseSlotIfEmptyLocked(it);
     return;
   }
   if (slot.cached) {
@@ -366,21 +323,22 @@ void LruCache::PutLocked(Table::iterator it, Value value, bool prefetched) {
     stats_.bytes_cached += slot.entry->value->size();
     lru_.splice(lru_.begin(), lru_, slot.entry);
   } else {
-    if (options_.admit_on_second_touch && !AdmitLocked(it->first)) {
+    if (options_.admit_on_second_touch && !AdmitLocked(key)) {
       ++stats_.admission_rejects;
       AdmissionRejectCounter()->Add();
       if (prefetched) {
         ++stats_.prefetch_wasted;
         PrefetchWastedCounter()->Add();
       }
-      EraseSlotIfEmptyLocked(it);
       return;
     }
-    lru_.push_front(Entry{it->first, std::move(value), prefetched});
+    lru_.push_front(Entry{key, std::move(value), prefetched});
     slot.entry = lru_.begin();
     slot.cached = true;
     stats_.bytes_cached += lru_.front().value->size();
   }
+  // Never evicts `slot` itself: it is now the most recent entry and alone
+  // fits within capacity.
   EvictIfNeededLocked();
 }
 

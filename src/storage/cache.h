@@ -11,6 +11,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/function_ref.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "storage/cell_key.h"
@@ -93,19 +94,26 @@ struct LruCacheOptions {
 class LruCache {
  public:
   using Value = std::shared_ptr<const std::vector<uint8_t>>;
+  /// An owning load that may run on a pool thread after its caller returns.
   using Loader = std::function<Result<Value>()>;
+  /// Builds a Loader on demand. GetOrComputeAsync calls it only when the
+  /// caller becomes the key's loader, so a hit or a coalesced request never
+  /// pays for the loader's captures (paths, metadata copies, allocation).
+  using LoaderFactory = FunctionRef<Loader()>;
 
   /// One pending or resolved asynchronous load (see GetOrComputeAsync).
-  /// Copyable handle over shared state; default-constructed handles are
-  /// invalid. Wait() may be called from any thread, any number of times.
+  /// Copyable; default-constructed handles are invalid. A hit carries the
+  /// cached value itself and allocates nothing; a load shares its state
+  /// with every coalesced waiter. Wait() may be called from any thread, any
+  /// number of times.
   class AsyncHandle {
    public:
     AsyncHandle() = default;
 
-    bool valid() const { return state_ != nullptr; }
+    bool valid() const { return hit_ || state_ != nullptr; }
     /// True when the value was already cached at request time (no load was
     /// dispatched; Wait() returns without blocking).
-    bool hit() const;
+    bool hit() const { return hit_; }
     /// True once the load has completed (value or error); Wait() will not
     /// block.
     bool ready() const;
@@ -116,9 +124,13 @@ class LruCache {
    private:
     friend class LruCache;
     struct State;
+    explicit AsyncHandle(Value cached)
+        : cached_(std::move(cached)), hit_(true) {}
     explicit AsyncHandle(std::shared_ptr<State> state)
         : state_(std::move(state)) {}
-    std::shared_ptr<State> state_;
+    std::shared_ptr<State> state_;  ///< Null for a hit.
+    Value cached_;                  ///< A hit's value.
+    bool hit_ = false;
   };
 
   /// `capacity_bytes` of zero disables caching entirely.
@@ -138,15 +150,17 @@ class LruCache {
   /// concurrently, exactly one runs the loader — the rest block and share
   /// its outcome (value or error), so a popular segment cell is read from
   /// the backing store once, not once per waiting session. The loader runs
-  /// without the cache lock held; loading the same key recursively from
-  /// inside a loader deadlocks. Errors are not cached — the next caller
-  /// retries the load. Also coalesces with loads started by
-  /// GetOrComputeAsync. When `was_hit` is non-null it is set to whether the
-  /// value was served from cache without waiting on any load. When
-  /// `consumed_prefetch` is non-null it is set to whether this call was the
-  /// first demand touch of a prefetched value (tiered callers use this to
-  /// credit the copy in the other tier via CreditPrefetchConsumption).
-  Result<Value> GetOrCompute(PackedCellKey key, const Loader& loader,
+  /// on the calling thread, inside this call, without the cache lock held;
+  /// loading the same key recursively from inside a loader deadlocks.
+  /// Errors are not cached — the next caller retries the load. Also
+  /// coalesces with loads started by GetOrComputeAsync. When `was_hit` is
+  /// non-null it is set to whether the value was served from cache without
+  /// waiting on any load. When `consumed_prefetch` is non-null it is set to
+  /// whether this call was the first demand touch of a prefetched value
+  /// (tiered callers use this to credit the copy in the other tier via
+  /// CreditPrefetchConsumption).
+  Result<Value> GetOrCompute(PackedCellKey key,
+                             FunctionRef<Result<Value>()> loader,
                              bool* was_hit = nullptr,
                              bool* consumed_prefetch = nullptr);
 
@@ -154,17 +168,31 @@ class LruCache {
   /// loads on the high-priority lane, prefetch loads on the low lane) and a
   /// handle to its eventual outcome is returned immediately. Single-flight
   /// is shared with GetOrCompute: concurrent sync and async requests for
-  /// one key run a single loader. If the pool refuses the task (shutdown),
-  /// the handle resolves to an Aborted error and nothing is cached; a null
-  /// `pool` runs the loader synchronously on the calling thread and returns
-  /// an already-resolved handle. `kind` selects statistics: kPrefetch loads
-  /// never touch hit/miss counters and tag the cached value so later demand
-  /// consumption (or eviction without it) is attributed to prefetching.
-  /// `consumed_prefetch` is as in GetOrCompute (only a demand `kind` ever
-  /// sets it).
-  AsyncHandle GetOrComputeAsync(PackedCellKey key, Loader loader,
+  /// one key run a single loader. `make_loader` is called at most once,
+  /// and only when this call becomes the key's loader. If the pool refuses
+  /// the task (shutdown), the handle resolves to an Aborted error and
+  /// nothing is cached; a null `pool` runs the loader synchronously on the
+  /// calling thread and returns an already-resolved handle. `kind` selects
+  /// statistics: kPrefetch loads never touch hit/miss counters and tag the
+  /// cached value so later demand consumption (or eviction without it) is
+  /// attributed to prefetching. `consumed_prefetch` is as in GetOrCompute
+  /// (only a demand `kind` ever sets it).
+  ///
+  /// Cost: every call hashes the key once, and a hit allocates nothing. A
+  /// load's completion hashes again only to drop an uncached outcome (an
+  /// error, an oversize value, an admission reject); evictions it causes
+  /// hash each victim's key.
+  AsyncHandle GetOrComputeAsync(PackedCellKey key, LoaderFactory make_loader,
                                 ThreadPool* pool, LoadKind kind,
                                 bool* consumed_prefetch = nullptr);
+  /// As above with a ready-made loader (moved out only on a miss).
+  AsyncHandle GetOrComputeAsync(PackedCellKey key, Loader loader,
+                                ThreadPool* pool, LoadKind kind,
+                                bool* consumed_prefetch = nullptr) {
+    return GetOrComputeAsync(
+        key, [&loader] { return std::move(loader); }, pool, kind,
+        consumed_prefetch);
+  }
 
   /// Tier-promotion credit: a demand read consumed `key`'s copy held by
   /// another cache tier (e.g. a node's private L1 over this shared L2). If
@@ -203,9 +231,11 @@ class LruCache {
   };
   using Table = std::unordered_map<PackedCellKey, Slot, CellKeyHash>;
 
-  /// Resolves `state` with the loader's outcome: clears the slot's
-  /// in-flight marker, caches success, and wakes every waiter.
-  void Complete(PackedCellKey key,
+  /// Resolves `state` with the loader's outcome: clears the in-flight
+  /// marker of `registered` (the slot the loader was registered in — a
+  /// stable node, since in-flight slots are never erased), caches success,
+  /// and wakes every waiter.
+  void Complete(Table::value_type& registered,
                 const std::shared_ptr<AsyncHandle::State>& state,
                 Result<Value> loaded);
   /// Marks a demand touch of `entry`, crediting the prefetcher when it was
@@ -213,10 +243,10 @@ class LruCache {
   /// a prefetched value (cleared its tag).
   bool TouchLocked(Entry* entry);
 
-  /// Stores `value` into the slot at `it` (which must be in table_),
-  /// applying oversize and admission policy; erases the slot when it ends
-  /// up neither cached nor in flight.
-  void PutLocked(Table::iterator it, Value value, bool prefetched);
+  /// Stores `value` into `key`'s `slot`, applying oversize and admission
+  /// policy. May leave the slot neither cached nor in flight; the caller
+  /// then erases it.
+  void PutLocked(PackedCellKey key, Slot& slot, Value value, bool prefetched);
   /// Second-touch filter decision for a new key; true = admit now.
   bool AdmitLocked(PackedCellKey key);
   void EvictIfNeededLocked();

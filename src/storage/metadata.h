@@ -95,7 +95,8 @@ struct VideoMetadata {
 
   /// The effective data directory ("v<version>" when unset).
   std::string DataDir() const {
-    return data_dir.empty() ? "v" + std::to_string(version) : data_dir;
+    return data_dir.empty() ? std::string("v").append(std::to_string(version))
+                            : data_dir;
   }
 
   /// Total stored bytes across all cells.

@@ -118,9 +118,10 @@ Result<LruCache::AsyncHandle> ShardedStore::Node::ReadCellAsync(
   StorageManager* backend = store_->shard(store_->shard_map_.ShardFor(key));
   // The load is dispatched on the *owning* backend's pool, so each shard's
   // cold-read concurrency is bounded by its own pool regardless of how many
-  // nodes route to it.
+  // nodes route to it. The backend loader is built only on an L1 miss.
   return tiers_.GetOrComputeAsync(
-      key, backend->CellLoader(metadata, segment, tile, quality),
+      key,
+      [&] { return backend->CellLoader(metadata, segment, tile, quality); },
       backend->io_pool(), kind);
 }
 

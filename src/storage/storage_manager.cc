@@ -109,7 +109,7 @@ StorageManager::NewVideoWriter(VideoMetadata metadata) {
     next_version = versions->back() + 1;
   }
   metadata.version = next_version;
-  metadata.data_dir = "v" + std::to_string(next_version);
+  metadata.data_dir = std::string("v").append(std::to_string(next_version));
   std::string dir = VideoDir(metadata.name) + "/" + metadata.data_dir;
   VC_RETURN_IF_ERROR(options_.env->CreateDirs(dir));
   return std::unique_ptr<VideoWriter>(
@@ -316,10 +316,12 @@ Result<LruCache::AsyncHandle> StorageManager::ReadCellAsync(
   if (kind == LoadKind::kDemand) cell_reads->Add();
   // A null pool makes GetOrComputeAsync run the load synchronously and
   // return a resolved handle, so callers need not care whether the store
-  // has an I/O pipeline.
+  // has an I/O pipeline. The loader (path string, owning captures) is
+  // built only on a miss.
   return cache_.GetOrComputeAsync(
       CellKey{segment, tile, quality}.Packed(metadata),
-      MakeCellLoader(metadata, segment, tile, quality), io_pool_.get(), kind);
+      [&] { return MakeCellLoader(metadata, segment, tile, quality); },
+      io_pool_.get(), kind);
 }
 
 Status StorageManager::ReadPlannedCells(const VideoMetadata& metadata,

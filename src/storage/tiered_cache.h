@@ -30,17 +30,26 @@ class TieredCache {
 
   /// Synchronous tiered read: L1, then L2, then `loader`. `was_hit` reports
   /// an L1 hit (the cheap, node-local case).
-  Result<LruCache::Value> GetOrCompute(PackedCellKey key,
-                                       const LruCache::Loader& loader,
-                                       bool* was_hit = nullptr);
+  Result<LruCache::Value> GetOrCompute(
+      PackedCellKey key, FunctionRef<Result<LruCache::Value>()> loader,
+      bool* was_hit = nullptr);
 
   /// Asynchronous tiered read: the L1 dispatches one task to `pool` (use
   /// the owning backend's I/O pool so load concurrency is bounded per
   /// backend); that task resolves through the L2, coalescing with any other
   /// node's load of the same key. `kind` propagates to both tiers.
+  /// `make_loader` runs only on an L1 miss that becomes the L1 loader: an
+  /// L1 hit or coalesce builds nothing.
+  LruCache::AsyncHandle GetOrComputeAsync(PackedCellKey key,
+                                          LruCache::LoaderFactory make_loader,
+                                          ThreadPool* pool, LoadKind kind);
+  /// As above with a ready-made backend loader.
   LruCache::AsyncHandle GetOrComputeAsync(PackedCellKey key,
                                           LruCache::Loader loader,
-                                          ThreadPool* pool, LoadKind kind);
+                                          ThreadPool* pool, LoadKind kind) {
+    return GetOrComputeAsync(
+        key, [&loader] { return std::move(loader); }, pool, kind);
+  }
 
   CacheStats l1_stats() const { return l1_.stats(); }
   LruCache* l2() const { return l2_; }

@@ -333,6 +333,67 @@ TEST(Crc32Test, DetectsCorruption) {
   EXPECT_NE(clean, Crc32(Slice(data)));
 }
 
+// Bit-at-a-time CRC-32 over the reflected IEEE polynomial: the textbook
+// definition the table-driven Crc32 must reproduce exactly. Returns the
+// running (pre-inversion) register, so a caller can feed one byte at a time.
+uint32_t ReferenceCrcStep(uint32_t reg, uint8_t byte) {
+  reg ^= byte;
+  for (int bit = 0; bit < 8; ++bit) {
+    reg = (reg & 1) ? (reg >> 1) ^ 0xedb88320u : reg >> 1;
+  }
+  return reg;
+}
+
+uint32_t ReferenceCrc32(const uint8_t* data, size_t size, uint32_t seed) {
+  uint32_t reg = seed ^ 0xffffffffu;
+  for (size_t i = 0; i < size; ++i) reg = ReferenceCrcStep(reg, data[i]);
+  return reg ^ 0xffffffffu;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  constexpr size_t kMaxLength = 4096;
+  constexpr size_t kAlignments = 8;
+  // Backed by uint64_t so `base + offset` has a known alignment mod 8.
+  std::vector<uint64_t> storage((kMaxLength + kAlignments) / 8 + 1);
+  uint8_t* base = reinterpret_cast<uint8_t*>(storage.data());
+  Random rng(0xc0ffee);
+  for (size_t i = 0; i < storage.size() * 8; ++i) {
+    base[i] = static_cast<uint8_t>(rng.Next());
+  }
+  for (size_t offset = 0; offset < kAlignments; ++offset) {
+    const uint8_t* data = base + offset;
+    for (uint32_t seed : {0u, static_cast<uint32_t>(rng.Next()) | 1u}) {
+      // The reference register is advanced one byte per length, so every
+      // prefix is checked against a bitwise CRC without recomputing it.
+      uint32_t reg = seed ^ 0xffffffffu;
+      for (size_t length = 0; length <= kMaxLength; ++length) {
+        ASSERT_EQ(Crc32(Slice(data, length), seed), reg ^ 0xffffffffu)
+            << "length " << length << " offset " << offset << " seed "
+            << seed;
+        if (length < kMaxLength) reg = ReferenceCrcStep(reg, data[length]);
+      }
+    }
+  }
+}
+
+TEST(Crc32Test, RandomSeedsAndChainingMatchReference) {
+  Random rng(42);
+  std::vector<uint8_t> buffer(1000);
+  for (int trial = 0; trial < 200; ++trial) {
+    for (uint8_t& byte : buffer) byte = static_cast<uint8_t>(rng.Next());
+    size_t size = rng.Uniform(buffer.size() + 1);
+    size_t split = rng.Uniform(size + 1);
+    uint32_t seed = static_cast<uint32_t>(rng.Next());
+    Slice whole(buffer.data(), size);
+    EXPECT_EQ(Crc32(whole, seed), ReferenceCrc32(buffer.data(), size, seed));
+    // Crc32(b, Crc32(a)) == Crc32(a || b), from a fresh or a seeded start.
+    Slice a(buffer.data(), split);
+    Slice b(buffer.data() + split, size - split);
+    EXPECT_EQ(Crc32(b, Crc32(a)), Crc32(whole));
+    EXPECT_EQ(Crc32(b, Crc32(a, seed)), Crc32(whole, seed));
+  }
+}
+
 // ---------------------------------------------------------------- Random
 
 TEST(RandomTest, Deterministic) {

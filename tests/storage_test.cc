@@ -215,6 +215,64 @@ TEST(LruCacheAsyncTest, DemandLoadResolvesAndCaches) {
   EXPECT_EQ(stats.misses, 1u);
 }
 
+TEST(LruCacheAsyncTest, LoaderFactoryRunsOnlyForTheLoaderAndHitsHoldValue) {
+  LruCache cache(1 << 20);
+  ThreadPool pool(1);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  int factory_calls = 0;  // the factory runs on the requesting thread
+  auto make_loader = [&]() -> LruCache::Loader {
+    ++factory_calls;
+    return [&]() -> Result<LruCache::Value> {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return release; });
+      return Bytes(48, 9);
+    };
+  };
+
+  // The first miss builds the loader; a request that coalesces onto the
+  // still-running load builds nothing.
+  auto first =
+      cache.GetOrComputeAsync(5, make_loader, &pool, LoadKind::kDemand);
+  auto second =
+      cache.GetOrComputeAsync(5, make_loader, &pool, LoadKind::kDemand);
+  EXPECT_EQ(factory_calls, 1);
+  EXPECT_FALSE(first.hit());
+  EXPECT_FALSE(second.hit());
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  auto loaded = first.Wait();
+  ASSERT_TRUE(loaded.ok());
+  auto shared = second.Wait();
+  ASSERT_TRUE(shared.ok());
+  EXPECT_EQ(*loaded, *shared);
+  EXPECT_EQ(cache.stats().coalesced, 1u);
+
+  // A hit builds nothing and its handle carries the cached value: valid,
+  // hit and ready, and Wait() returns at once.
+  auto hit = cache.GetOrComputeAsync(5, make_loader, &pool, LoadKind::kDemand);
+  EXPECT_EQ(factory_calls, 1);
+  EXPECT_TRUE(hit.valid());
+  EXPECT_TRUE(hit.hit());
+  EXPECT_TRUE(hit.ready());
+  auto cached = hit.Wait();
+  ASSERT_TRUE(cached.ok());
+  EXPECT_EQ(*cached, *loaded);
+  // Copies share the value.
+  LruCache::AsyncHandle copy = hit;
+  EXPECT_TRUE(copy.hit());
+  EXPECT_EQ(*copy.Wait(), *loaded);
+
+  LruCache::AsyncHandle invalid;
+  EXPECT_FALSE(invalid.valid());
+  EXPECT_FALSE(invalid.hit());
+  EXPECT_FALSE(invalid.ready());
+}
+
 TEST(LruCacheAsyncTest, NullPoolRunsInline) {
   LruCache cache(1 << 20);
   int loads = 0;
@@ -1064,6 +1122,52 @@ TEST(TieredCacheTest, L1OverL2ServesAndAccountsBothTiers) {
   EXPECT_EQ(l2.stats().misses, 1u);
 }
 
+TEST(TieredCacheTest, LoaderFactoryRunsOnlyWhenL1BecomesLoader) {
+  LruCache l2(1 << 20);
+  TieredCache node_a(1 << 16, &l2);
+  TieredCache node_b(1 << 16, &l2);
+  int factory_calls = 0;
+  int loads = 0;
+  auto make_loader = [&]() -> LruCache::Loader {
+    ++factory_calls;
+    return [&loads]() -> Result<LruCache::Value> {
+      ++loads;
+      return Bytes(96, 6);
+    };
+  };
+
+  // Cold on node A: the L1 registration builds the loader once, and the L2
+  // miss runs it.
+  auto cold = node_a.GetOrComputeAsync(21, make_loader, /*pool=*/nullptr,
+                                       LoadKind::kDemand);
+  auto loaded = cold.Wait();
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_FALSE(cold.hit());
+  EXPECT_EQ(factory_calls, 1);
+  EXPECT_EQ(loads, 1);
+
+  // Warm on node A: an L1 hit builds nothing and hands back the value.
+  auto hit = node_a.GetOrComputeAsync(21, make_loader, /*pool=*/nullptr,
+                                      LoadKind::kDemand);
+  EXPECT_EQ(factory_calls, 1);
+  EXPECT_TRUE(hit.valid());
+  EXPECT_TRUE(hit.hit());
+  EXPECT_TRUE(hit.ready());
+  auto value = hit.Wait();
+  ASSERT_TRUE(value.ok());
+  EXPECT_EQ(*value, *loaded);
+
+  // Cold on node B but warm in the L2: the single L1 registration is the
+  // only factory call, and the L2 hit runs no load.
+  auto l2_hit = node_b.GetOrComputeAsync(21, make_loader, /*pool=*/nullptr,
+                                         LoadKind::kDemand);
+  ASSERT_TRUE(l2_hit.Wait().ok());
+  EXPECT_FALSE(l2_hit.hit()) << "hit means node-local L1";
+  EXPECT_EQ(factory_calls, 2);
+  EXPECT_EQ(loads, 1);
+  EXPECT_EQ(l2.stats().hits, 1u);
+}
+
 TEST(TieredCacheTest, PromotionCreditsL2PrefetchNotWasted) {
   // Satellite audit target: a prefetch fills both tiers tagged; the demand
   // read consumes the L1 copy. Without the tier-promotion credit the L2
@@ -1145,12 +1249,59 @@ TEST_F(StorageManagerTest, ShardedStoreNodesShareL2AndMatchDirectReads) {
       node_a->ReadCellAsync(m, 0, 9, 0).status().IsInvalidArgument());
 }
 
+TEST_F(StorageManagerTest, ShardedReadsRejectCorruptCellInBothTiers) {
+  VideoMetadata m = StoreSample("video", 1);
+  std::string path = "/store/video/v1/" + m.CellFileName(0, 1, 1);
+  auto clean = env_->ReadFile(path);
+  ASSERT_TRUE(clean.ok());
+  std::vector<uint8_t> corrupted = *clean;
+  corrupted[10] ^= 0xff;
+  ASSERT_TRUE(env_->WriteFile(path, Slice(corrupted)).ok());
+
+  ShardedStoreOptions options;
+  options.backend.env = env_.get();
+  options.backend.root = "/store";
+  options.backend.io_threads = 2;
+  options.shards = 2;
+  options.l2_capacity_bytes = 1 << 20;
+  auto store = ShardedStore::Open(options);
+  ASSERT_TRUE(store.ok());
+  auto node = (*store)->CreateNode(1 << 16);
+  const PackedCellKey bad_key = CellKey{0, 1, 1}.Packed(m);
+  const uint64_t good_bytes = m.cells[m.CellIndex(0, 0, 1)].byte_size;
+
+  // Both the single-cell and the planned-segment read report the checksum
+  // failure; the clean tile of the plan is still served.
+  auto handle = node->ReadCellAsync(m, 0, 1, 1);
+  ASSERT_TRUE(handle.ok());
+  EXPECT_TRUE(handle->Wait().status().IsCorruption());
+  const std::vector<int> plan = {1, 1};
+  EXPECT_TRUE(node->ReadPlannedCells(m, 0, plan).IsCorruption());
+  EXPECT_TRUE(node->ReadCell(m, 0, 1, 1).status().IsCorruption());
+
+  // Neither tier cached anything for the corrupt cell: the node's L1 holds
+  // only the clean tile, and the L2 has no entry for the bad key.
+  EXPECT_EQ(node->cache_stats().bytes_cached, good_bytes);
+  EXPECT_EQ((*store)->l2_stats().bytes_cached, good_bytes);
+  EXPECT_EQ((*store)->l2()->Get(bad_key), nullptr);
+
+  // Once the file is repaired the next reads load and verify it afresh.
+  ASSERT_TRUE(env_->WriteFile(path, Slice(*clean)).ok());
+  auto repaired = node->ReadCellAsync(m, 0, 1, 1);
+  ASSERT_TRUE(repaired.ok());
+  auto value = repaired->Wait();
+  ASSERT_TRUE(value.ok());
+  EXPECT_EQ(**value, *clean);
+  EXPECT_TRUE(node->ReadPlannedCells(m, 0, plan).ok());
+}
+
 // A CellSource that records dispatch order and resolves loads inline,
 // for pinning the prefetcher's queue discipline.
 class RecordingCellSource : public CellSource {
  public:
-  Result<LruCache::Value> ReadCell(const VideoMetadata& metadata, int segment,
-                                   int tile, int quality) override {
+  Result<LruCache::Value> ReadCell(const VideoMetadata& /*metadata*/,
+                                   int segment, int tile,
+                                   int quality) override {
     loads.push_back(CellKey{segment, tile, quality});
     return Bytes(8, 0);
   }
@@ -1164,8 +1315,8 @@ class RecordingCellSource : public CellSource {
         []() -> Result<LruCache::Value> { return Bytes(8, 0); },
         /*pool=*/nullptr, kind);
   }
-  Status ReadPlannedCells(const VideoMetadata& metadata, int segment,
-                          const std::vector<int>& tile_qualities) override {
+  Status ReadPlannedCells(const VideoMetadata& /*metadata*/, int /*segment*/,
+                          const std::vector<int>& /*tile_qualities*/) override {
     return Status::OK();
   }
   ThreadPool* io_pool() const override { return nullptr; }
@@ -1416,13 +1567,14 @@ TEST(CellKeyHashTest, UnifiedIndexHashesOncePerHit) {
   ASSERT_TRUE(hit.ok());
   EXPECT_EQ(CellKeyHash::invocations.load() - before, 1u);
 
-  // A miss hashes twice in total: the slot lookup and the completion that
-  // publishes the loaded value back into the slot.
+  // A miss that loads and caches also hashes once: the completion
+  // publishes the value through the slot the loader registered in instead
+  // of looking the key up again.
   before = CellKeyHash::invocations.load();
   auto miss = cache.GetOrCompute(
       43, []() -> Result<LruCache::Value> { return Bytes(64, 2); });
   ASSERT_TRUE(miss.ok());
-  EXPECT_EQ(CellKeyHash::invocations.load() - before, 2u);
+  EXPECT_EQ(CellKeyHash::invocations.load() - before, 1u);
 }
 
 // ------------------------------------------------------ Admission control
