@@ -356,11 +356,6 @@ int CmdServeCluster(const VideoMetadata* metadata, LiveFeed* feed,
   store_options.l2_capacity_bytes = l2_bytes;
   auto store = ShardedStore::Open(store_options);
   if (!store.ok()) Fail(store.status(), "sharded store");
-  if (prefetch != PrefetchMode::kOff && io_threads <= 0) {
-    std::fprintf(stderr,
-                 "vcctl: --prefetch needs an I/O pool; add --io-threads N "
-                 "(continuing without speculation)\n");
-  }
 
   ClusterOptions cluster_options;
   cluster_options.nodes = nodes;
@@ -446,12 +441,6 @@ int CmdServeSim(VisualCloud* db, const std::string& name, int viewer_count,
                            nodes, l1_bytes, l2_bytes, io_threads, prefetch);
   }
 
-  if (prefetch != PrefetchMode::kOff &&
-      db->storage()->io_pool() == nullptr) {
-    std::fprintf(stderr,
-                 "vcctl: --prefetch needs an I/O pool; add --io-threads N "
-                 "(continuing without speculation)\n");
-  }
   StreamingServer server(db->storage(), server_options);
   auto stats = server.Run(*metadata, viewers);
   if (!stats.ok()) Fail(stats.status(), "server run");
@@ -534,12 +523,6 @@ int CmdLiveSim(VisualCloud* db, const std::string& scene_name,
                            nodes, l1_bytes, l2_bytes, io_threads, prefetch);
   }
 
-  if (prefetch != PrefetchMode::kOff &&
-      db->storage()->io_pool() == nullptr) {
-    std::fprintf(stderr,
-                 "vcctl: --prefetch needs an I/O pool; add --io-threads N "
-                 "(continuing without speculation)\n");
-  }
   StreamingServer server(db->storage(), server_options);
   auto stats = server.RunLive(feed->get(), viewers);
   if (!stats.ok()) Fail(stats.status(), "live run");
@@ -866,6 +849,12 @@ int main(int argc, char** argv) {
     return CmdStream(db.get(), args[1], arg(2, "visualcloud"),
                      arg(3, "dead_reckoning"),
                      std::atof(arg(4, "20").c_str()), arg(5, "explorer"));
+  }
+  if ((command == "serve-sim" || command == "live-sim") &&
+      prefetch != PrefetchMode::kOff && io_threads <= 0) {
+    std::fprintf(stderr,
+                 "vcctl: --prefetch needs an I/O pool; add --io-threads N "
+                 "(continuing without speculation)\n");
   }
   if (command == "serve-sim" && args.size() >= 2) {
     return CmdServeSim(db.get(), args[1], std::atoi(arg(2, "16").c_str()),

@@ -82,11 +82,13 @@ simd() {
   # query text parser (truncations, token surgery, integer-overflow
   # arguments), and the VCVIEW materialized-view definition parser — plus
   # the kernel/bit-IO suites. Out-of-bounds reads in any decoder or
-  # misaligned vector loads fail loudly here.
+  # misaligned vector loads fail loudly here. The server and storage suites
+  # run too: sessions hold pointers to node views, prefetchers and plan
+  # caches the serve loop owns, so a use-after-free there surfaces here.
   cmake -B build-asan -S . -DVC_SANITIZE=address+undefined
   cmake --build build-asan -j"$JOBS" --target codec_fuzz_test codec_test \
     common_test manifest_fuzz_test container_fuzz_test query_fuzz_test \
-    view_fuzz_test
+    view_fuzz_test server_test storage_test
   ./build-asan/tests/codec_fuzz_test
   ./build-asan/tests/codec_test
   ./build-asan/tests/common_test
@@ -94,6 +96,8 @@ simd() {
   ./build-asan/tests/container_fuzz_test
   ./build-asan/tests/query_fuzz_test
   ./build-asan/tests/view_fuzz_test
+  ./build-asan/tests/server_test
+  ./build-asan/tests/storage_test
 }
 
 case "${1:-all}" in

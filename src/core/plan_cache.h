@@ -67,6 +67,11 @@ class PlanCache {
       uint64_t total = hits + misses;
       return total == 0 ? 0.0 : static_cast<double>(hits) / total;
     }
+    Stats& operator+=(const Stats& other) {
+      hits += other.hits;
+      misses += other.misses;
+      return *this;
+    }
   };
 
   /// A cached plan plus the downgrade count budget fitting produced — the

@@ -45,6 +45,9 @@ Status SessionOptions::Validate() const {
   if (buffer_ahead_seconds < 0 || buffer_ahead_seconds > 3600) {
     return Status::InvalidArgument("buffer_ahead_seconds out of range");
   }
+  if (popularity_coverage <= 0 || popularity_coverage > 1.0) {
+    return Status::InvalidArgument("popularity_coverage must be in (0, 1]");
+  }
   return Status::OK();
 }
 

@@ -1,13 +1,8 @@
 #include "server/cluster_server.h"
 
-#include <algorithm>
-#include <deque>
 #include <memory>
-#include <queue>
-#include <string>
 
-#include "common/stopwatch.h"
-#include "obs/metrics.h"
+#include "server/serve_loop.h"
 
 namespace vc {
 
@@ -15,49 +10,44 @@ Status ClusterOptions::Validate() const {
   if (nodes < 1) {
     return Status::InvalidArgument("ClusterOptions.nodes must be >= 1");
   }
-  if (balance_slack < 0) {
-    return Status::InvalidArgument("ClusterOptions.balance_slack must be >= 0");
-  }
   return node.Validate();
 }
 
 namespace {
 
-enum class EventKind { kPublish, kArrival, kStep };
-
-/// One scheduler entry. `seq` (assigned in push order, cluster-wide) breaks
-/// time ties exactly as in the single-node server; `node` completes the
-/// tiebreak so the order is total even for events sharing a seq source.
-/// Arrivals carry node -1 — their node is decided by placement at pop time.
-/// Publish events (live runs) also carry node -1 and reuse `viewer` for the
-/// segment index; they are pushed before any arrival, so their seqs win
-/// every time tie — the catalog grows before viewers act.
-struct Event {
-  double time;
-  uint64_t seq;
-  int node;
-  EventKind kind;
-  int viewer;
-};
-
-struct EventLater {
-  bool operator()(const Event& a, const Event& b) const {
-    if (a.time != b.time) return a.time > b.time;
-    if (a.seq != b.seq) return a.seq > b.seq;
-    return a.node > b.node;
+/// Runs the serve loop with one L1-over-L2 view of `store` per node, and
+/// adds the run's shared-L2 activity.
+Result<ClusterStats> ServeCluster(ShardedStore* store,
+                                  const ClusterOptions& options,
+                                  std::vector<const VideoMetadata*> videos,
+                                  LiveFeed* live,
+                                  const std::vector<ViewerRequest>& viewers,
+                                  const SceneGenerator* reference) {
+  VC_RETURN_IF_ERROR(options.Validate());
+  if (store == nullptr) {
+    return Status::InvalidArgument("cluster requires a sharded store");
   }
-};
+  const int video_count = live != nullptr ? 1 : static_cast<int>(videos.size());
+  for (const ViewerRequest& viewer : viewers) {
+    if (viewer.video < 0 || viewer.video >= video_count) {
+      return Status::InvalidArgument("viewer video index out of range");
+    }
+  }
 
-/// Mutable per-node serving state.
-struct NodeState {
-  std::unique_ptr<ShardedStore::Node> view;  ///< L1-over-L2 read path.
-  std::unique_ptr<PredictivePrefetcher> prefetcher;
-  int active = 0;
-  double admitted_bps = 0.0;
-  std::vector<int> video_active;  ///< Active sessions per catalog video.
-  double host_seconds = 0.0;
-  ClusterNodeStats stats;
-};
+  std::vector<std::unique_ptr<ShardedStore::Node>> views;
+  std::vector<CellSource*> sources;
+  for (int n = 0; n < options.nodes; ++n) {
+    views.push_back(store->CreateNode(options.l1_capacity_bytes));
+    sources.push_back(views.back().get());
+  }
+  const CacheStats l2_before = store->l2_stats();
+  ClusterStats stats;
+  VC_ASSIGN_OR_RETURN(stats, RunServeLoop(store->shard(0), sources,
+                                          options.node, std::move(videos),
+                                          live, viewers, reference));
+  stats.l2 = store->l2_stats() - l2_before;
+  return stats;
+}
 
 }  // namespace
 
@@ -69,360 +59,16 @@ Result<ClusterStats> ClusterServer::Run(
     const std::vector<VideoMetadata>& videos,
     const std::vector<ViewerRequest>& viewers,
     const SceneGenerator* reference) {
-  if (videos.empty()) {
-    return Status::InvalidArgument("cluster requires at least one video");
-  }
-  for (const VideoMetadata& video : videos) {
-    if (video.segment_count() == 0) {
-      return Status::InvalidArgument("video has no segments");
-    }
-  }
-  return RunInternal(&videos, nullptr, viewers, reference);
+  std::vector<const VideoMetadata*> catalog;
+  for (const VideoMetadata& video : videos) catalog.push_back(&video);
+  return ServeCluster(store_, options_, std::move(catalog), nullptr, viewers,
+                      reference);
 }
 
 Result<ClusterStats> ClusterServer::RunLive(
     LiveFeed* feed, const std::vector<ViewerRequest>& viewers,
     const SceneGenerator* reference) {
-  if (feed == nullptr) {
-    return Status::InvalidArgument("RunLive requires a live feed");
-  }
-  if (feed->published_segments() != 0) {
-    return Status::InvalidArgument("live feed already partially published");
-  }
-  return RunInternal(nullptr, feed, viewers, reference);
-}
-
-Result<ClusterStats> ClusterServer::RunInternal(
-    const std::vector<VideoMetadata>* static_videos, LiveFeed* live,
-    const std::vector<ViewerRequest>& viewers,
-    const SceneGenerator* reference) {
-  VC_RETURN_IF_ERROR(options_.Validate());
-  if (store_ == nullptr) {
-    return Status::InvalidArgument("cluster requires a sharded store");
-  }
-  // A live run serves a one-video catalog whose metadata is the feed's
-  // growing snapshot; `video_of` reads the newest published state.
-  const size_t video_count = live != nullptr ? 1 : static_videos->size();
-  auto video_of = [&](int video) -> const VideoMetadata& {
-    return live != nullptr ? live->snapshot() : (*static_videos)[video];
-  };
-  for (const ViewerRequest& viewer : viewers) {
-    if (viewer.arrival_seconds < 0) {
-      return Status::InvalidArgument("viewer arrival_seconds must be >= 0");
-    }
-    if (viewer.video < 0 ||
-        viewer.video >= static_cast<int>(video_count)) {
-      return Status::InvalidArgument("viewer video index out of range");
-    }
-  }
-
-  MetricRegistry& registry = MetricRegistry::Global();
-  Counter* locality_counter =
-      registry.GetCounter("server.cluster.locality_placements");
-  Counter* spillover_counter =
-      registry.GetCounter("server.cluster.spillovers");
-
-  const Stopwatch host_clock;
-  const CacheStats l2_before = store_->l2_stats();
-
-  // One popularity model per catalog video, shared by every node: viewers
-  // of a video teach each other where to look no matter where they were
-  // placed. The event loop is single-threaded, and the model feed order is
-  // fixed by the (time, seq) event order — placement never perturbs it.
-  std::vector<std::unique_ptr<PopularityModel>> popularity;
-  popularity.reserve(video_count);
-  for (size_t v = 0; v < video_count; ++v) {
-    const VideoMetadata& video = video_of(static_cast<int>(v));
-    popularity.push_back(std::make_unique<PopularityModel>(
-        video.tile_grid(), video.segment_duration_seconds(),
-        live != nullptr ? live->final_segment_count()
-                        : video.segment_count()));
-  }
-
-  // One plan cache per catalog video, shared by every node: a session's
-  // planning inputs carry no node identity, so any node's viewer can reuse
-  // a plan first computed anywhere in the cluster. Exact memoization keeps
-  // outcomes byte-identical across node counts and with the cache off.
-  std::vector<std::unique_ptr<PlanCache>> plan_caches;
-  plan_caches.reserve(video_count);
-  for (size_t v = 0; v < video_count; ++v) {
-    plan_caches.push_back(std::make_unique<PlanCache>());
-  }
-
-  std::vector<NodeState> nodes(options_.nodes);
-  for (int n = 0; n < options_.nodes; ++n) {
-    nodes[n].view = store_->CreateNode(options_.l1_capacity_bytes);
-    nodes[n].video_active.assign(video_count, 0);
-    nodes[n].stats.node_id = n;
-    if (options_.node.prefetch != PrefetchMode::kOff &&
-        nodes[n].view->io_pool() != nullptr) {
-      PrefetcherOptions prefetch_options = options_.node.prefetcher;
-      prefetch_options.mode = options_.node.prefetch;
-      nodes[n].prefetcher = std::make_unique<PredictivePrefetcher>(
-          nodes[n].view.get(), prefetch_options);
-    }
-  }
-
-  ClusterStats stats;
-  ServerStats& totals = stats.totals;
-  std::vector<std::unique_ptr<ClientSession>> sessions(viewers.size());
-  std::priority_queue<Event, std::vector<Event>, EventLater> events;
-  std::deque<int> waiting;  // cluster-wide FIFO for the admission limits
-  uint64_t seq = 0;
-  int total_active = 0;
-
-  if (live != nullptr) {
-    for (int s = 0; s < live->final_segment_count(); ++s) {
-      events.push(
-          Event{live->PublishTimeOf(s), seq++, -1, EventKind::kPublish, s});
-    }
-  }
-  for (size_t i = 0; i < viewers.size(); ++i) {
-    double at = viewers[i].arrival_seconds;
-    if (live != nullptr) at = std::max(at, live->PublishTimeOf(0));
-    events.push(Event{at, seq++, -1, EventKind::kArrival,
-                      static_cast<int>(i)});
-  }
-
-  // Popularity-locality placement with a balance guard. Among nodes that
-  // can admit the viewer *and* sit under the balance limit, pick the one
-  // with the most active sessions of the viewer's video (tie: fewer active
-  // sessions, then lower id). Returns -1 when no node can admit.
-  auto place = [&](int viewer) -> int {
-    double viewer_bps = viewers[viewer].session.network.bandwidth_bps;
-    int video = viewers[viewer].video;
-    int limit = total_active / options_.nodes + 1 + options_.balance_slack;
-    auto better = [&](int a, int b) {  // is node a a better target than b?
-      if (b < 0) return true;
-      const NodeState& na = nodes[a];
-      const NodeState& nb = nodes[b];
-      if (na.video_active[video] != nb.video_active[video]) {
-        return na.video_active[video] > nb.video_active[video];
-      }
-      if (na.active != nb.active) return na.active < nb.active;
-      return a < b;
-    };
-    int preferred = -1;  // locality ideal, ignoring capacity — for counters
-    int chosen = -1;
-    for (int n = 0; n < options_.nodes; ++n) {
-      if (better(n, preferred)) preferred = n;
-      const NodeState& node = nodes[n];
-      bool admissible =
-          node.active < options_.node.max_concurrent_sessions &&
-          (options_.node.bandwidth_budget_bps <= 0 ||
-           node.admitted_bps + viewer_bps <=
-               options_.node.bandwidth_budget_bps + 1e-9);
-      if (admissible && node.active < limit && better(n, chosen)) chosen = n;
-    }
-    if (chosen < 0) return -1;
-    if (nodes[chosen].video_active[video] > 0) {
-      ++nodes[chosen].stats.locality_placements;
-      locality_counter->Add();
-    }
-    if (chosen != preferred) {
-      ++nodes[chosen].stats.spillovers;
-      spillover_counter->Add();
-    }
-    return chosen;
-  };
-
-  auto admit = [&](int viewer, int node_id, double now) -> Status {
-    NodeState& node = nodes[node_id];
-    int video = viewers[viewer].video;
-    SessionOptions session_options = viewers[viewer].session;
-    session_options.fetch_cells = options_.node.fetch_cells;
-    session_options.cell_source = node.view.get();
-    session_options.live = live;
-    if (options_.node.shared_popularity) {
-      session_options.popularity = popularity[video].get();
-      session_options.popularity_sink = popularity[video].get();
-      session_options.popularity_coverage = options_.node.popularity_coverage;
-    }
-    if (options_.node.share_plans) {
-      session_options.plan_cache = plan_caches[video].get();
-    }
-    Stopwatch node_clock;
-    std::unique_ptr<ClientSession> session;
-    VC_ASSIGN_OR_RETURN(
-        session,
-        ClientSession::Create(store_->shard(0), video_of(video),
-                              viewers[viewer].trace, session_options,
-                              reference));
-    sessions[viewer] = std::move(session);
-    ++node.active;
-    ++total_active;
-    ++node.video_active[video];
-    ++node.stats.sessions_placed;
-    node.stats.max_active_sessions =
-        std::max(node.stats.max_active_sessions, node.active);
-    node.admitted_bps += viewers[viewer].session.network.bandwidth_bps;
-    ++totals.sessions_admitted;
-    totals.max_active_sessions =
-        std::max(totals.max_active_sessions, total_active);
-    double deadline = std::max(now, sessions[viewer]->NextDeadline());
-    events.push(Event{deadline, seq++, node_id, EventKind::kStep, viewer});
-    if (node.prefetcher != nullptr) {
-      node.prefetcher->EnqueueSegment(
-          video_of(video), sessions[viewer]->NextPrefetchHint(),
-          options_.node.shared_popularity ? popularity[video].get() : nullptr,
-          deadline);
-    }
-    node.host_seconds += node_clock.ElapsedSeconds();
-    return Status::OK();
-  };
-
-  // Which node each admitted viewer runs on, for completion bookkeeping.
-  std::vector<int> placed_on(viewers.size(), -1);
-
-  while (!events.empty()) {
-    const Event event = events.top();
-    events.pop();
-
-    if (event.node >= 0 && nodes[event.node].prefetcher != nullptr) {
-      nodes[event.node].prefetcher->Pump(event.time);
-    }
-
-    if (event.kind == EventKind::kPublish) {
-      VC_RETURN_IF_ERROR(live->Publish(event.viewer));
-      continue;
-    }
-
-    if (event.kind == EventKind::kArrival) {
-      ++totals.sessions_offered;
-      double viewer_bps = viewers[event.viewer].session.network.bandwidth_bps;
-      if (options_.node.bandwidth_budget_bps > 0 &&
-          viewer_bps > options_.node.bandwidth_budget_bps + 1e-9) {
-        // Exceeds a whole node's budget: no placement could ever admit it.
-        ++totals.sessions_rejected;
-        continue;
-      }
-      int node_id = place(event.viewer);
-      if (node_id < 0) {
-        waiting.push_back(event.viewer);
-        ++totals.sessions_queued;
-        totals.max_queue_depth = std::max(totals.max_queue_depth,
-                                          static_cast<int>(waiting.size()));
-        continue;
-      }
-      placed_on[event.viewer] = node_id;
-      VC_RETURN_IF_ERROR(admit(event.viewer, node_id, event.time));
-      continue;
-    }
-
-    NodeState& node = nodes[event.node];
-    ClientSession* session = sessions[event.viewer].get();
-    Stopwatch node_clock;
-    Status stepped = session->Step(event.time);
-    node.host_seconds += node_clock.ElapsedSeconds();
-    VC_RETURN_IF_ERROR(stepped);
-    if (!session->done()) {
-      double deadline = session->NextDeadline();
-      events.push(Event{deadline, seq++, event.node, EventKind::kStep,
-                        event.viewer});
-      if (node.prefetcher != nullptr) {
-        int video = viewers[event.viewer].video;
-        node.prefetcher->EnqueueSegment(
-            video_of(video), session->NextPrefetchHint(),
-            options_.node.shared_popularity ? popularity[video].get()
-                                            : nullptr,
-            deadline);
-      }
-      continue;
-    }
-
-    // Session completed: free its node's slot and bandwidth, then admit
-    // waiters (head of line first — FIFO fairness over placement greed).
-    --node.active;
-    --total_active;
-    --node.video_active[viewers[event.viewer].video];
-    node.admitted_bps -= viewers[event.viewer].session.network.bandwidth_bps;
-    ++totals.sessions_completed;
-    totals.wall_seconds =
-        std::max(totals.wall_seconds, session->wall_seconds());
-    while (!waiting.empty()) {
-      int next = waiting.front();
-      int next_node = place(next);
-      if (next_node < 0) break;  // head of line waits for capacity
-      waiting.pop_front();
-      placed_on[next] = next_node;
-      VC_RETURN_IF_ERROR(admit(next, next_node, event.time));
-    }
-  }
-
-  for (size_t i = 0; i < viewers.size(); ++i) {
-    if (sessions[i] == nullptr) continue;  // rejected
-    const SessionStats& session = sessions[i]->stats();
-    totals.sessions.push_back(session);
-    totals.admitted.push_back(static_cast<int>(i));
-    totals.bytes_sent += session.bytes_sent;
-    totals.media_seconds += session.duration_seconds;
-    totals.stall_seconds += session.stall_seconds;
-    totals.stall_events += session.stall_events;
-    totals.transfer_faults += session.transfer_faults;
-    totals.transfer_retries += session.transfer_retries;
-    totals.segments_skipped += session.segments_skipped;
-    nodes[placed_on[i]].stats.bytes_sent += session.bytes_sent;
-  }
-
-  if (live != nullptr) totals.live = live->stats();
-
-  // Settle speculation, then read each node's L1 (created fresh for this
-  // run, so its counters are the run's deltas) and publish per-node gauges.
-  stats.nodes.reserve(nodes.size());
-  for (NodeState& node : nodes) {
-    if (node.prefetcher != nullptr) {
-      node.prefetcher->Drain();
-      node.stats.prefetch = node.prefetcher->stats();
-      totals.prefetch.enqueued += node.stats.prefetch.enqueued;
-      totals.prefetch.dispatched += node.stats.prefetch.dispatched;
-      totals.prefetch.cancelled += node.stats.prefetch.cancelled;
-      totals.prefetch.deduped += node.stats.prefetch.deduped;
-      totals.prefetch.stale_skipped += node.stats.prefetch.stale_skipped;
-    }
-    node.stats.l1 = node.view->cache_stats();
-    node.stats.host_seconds = node.host_seconds;
-    totals.cache.hits += node.stats.l1.hits;
-    totals.cache.misses += node.stats.l1.misses;
-    totals.cache.evictions += node.stats.l1.evictions;
-    totals.cache.coalesced += node.stats.l1.coalesced;
-    totals.cache.rejected_oversize += node.stats.l1.rejected_oversize;
-    totals.cache.admission_rejects += node.stats.l1.admission_rejects;
-    totals.cache.bytes_cached += node.stats.l1.bytes_cached;
-    totals.cache.prefetch_issued += node.stats.l1.prefetch_issued;
-    totals.cache.prefetch_hits += node.stats.l1.prefetch_hits;
-    totals.cache.prefetch_wasted += node.stats.l1.prefetch_wasted;
-    std::string prefix = "server.node." + std::to_string(node.stats.node_id);
-    registry.GetGauge(prefix + ".cache_hit_rate")
-        ->Set(node.stats.l1.HitRate());
-    registry.GetGauge(prefix + ".host_seconds")->Set(node.host_seconds);
-    stats.nodes.push_back(node.stats);
-  }
-
-  const CacheStats l2_after = store_->l2_stats();
-  stats.l2.hits = l2_after.hits - l2_before.hits;
-  stats.l2.misses = l2_after.misses - l2_before.misses;
-  stats.l2.evictions = l2_after.evictions - l2_before.evictions;
-  stats.l2.coalesced = l2_after.coalesced - l2_before.coalesced;
-  stats.l2.rejected_oversize =
-      l2_after.rejected_oversize - l2_before.rejected_oversize;
-  stats.l2.admission_rejects =
-      l2_after.admission_rejects - l2_before.admission_rejects;
-  stats.l2.bytes_cached = l2_after.bytes_cached;
-  stats.l2.prefetch_issued =
-      l2_after.prefetch_issued - l2_before.prefetch_issued;
-  stats.l2.prefetch_hits = l2_after.prefetch_hits - l2_before.prefetch_hits;
-  stats.l2.prefetch_wasted =
-      l2_after.prefetch_wasted - l2_before.prefetch_wasted;
-
-  for (const std::unique_ptr<PlanCache>& cache : plan_caches) {
-    PlanCache::Stats plan = cache->stats();
-    totals.plan.hits += plan.hits;
-    totals.plan.misses += plan.misses;
-  }
-  registry.GetGauge("server.plan_cache_hit_rate")->Set(totals.plan.HitRate());
-
-  totals.host_seconds = host_clock.ElapsedSeconds();
-  return stats;
+  return ServeCluster(store_, options_, {}, feed, viewers, reference);
 }
 
 }  // namespace vc

@@ -16,10 +16,6 @@ struct ClusterOptions {
   int nodes = 1;
   /// Per-node private L1 cache capacity.
   size_t l1_capacity_bytes = 16ull << 20;
-  /// Balance guard on locality placement: a node is only eligible while its
-  /// active-session count is under ceil(mean) + slack, so co-scheduling a
-  /// hot scene cannot pile every viewer onto one node.
-  int balance_slack = 1;
   /// Per-node admission, sharing, and prefetch settings
   /// (max_concurrent_sessions and bandwidth_budget_bps apply per node).
   ServerOptions node;
@@ -72,20 +68,19 @@ struct ClusterStats {
 ///
 /// N serving nodes share one ShardedStore: every node reads any cell
 /// through its private L1 over the cluster's shared L2, with cold reads
-/// routed to the cell's owning backend by consistent hash. One global
-/// deterministic scheduler drives all nodes — events order by
-/// (time, seq, node), with seq assigned in push order exactly as the
-/// single-node server does, so a run's simulated outcome (served bytes,
-/// QoE, admission and fault accounting) is a pure function of the viewer
-/// cohort: byte-identical across host timing, prefetch settings, and —
-/// when admission never queues — across node counts. Only host_seconds and
-/// cache hit rates may move.
+/// routed to the cell's owning backend by consistent hash. The scheduler
+/// is the one StreamingServer runs with a single node: events order by
+/// (time, seq), seq assigned in push order, so a run's simulated outcome
+/// (served bytes, QoE, admission and fault accounting) is a pure function
+/// of the viewer cohort: byte-identical across host timing, prefetch
+/// settings, and — when admission never queues — across node counts. Only
+/// host_seconds and cache hit rates may move.
 ///
 /// Sessions are placed by popularity locality: an arriving viewer goes to
 /// the admissible node with the most active sessions of its video (ties to
-/// the emptier node, then the lower id), bounded by the balance guard, so
-/// hot scenes co-schedule and share L1s without starving the rest of the
-/// cluster.
+/// the emptier node, then the lower id), but only to a node whose active
+/// count is under total/nodes + 2, so hot scenes co-schedule and share L1s
+/// without starving the rest of the cluster.
 class ClusterServer {
  public:
   ClusterServer(ShardedStore* store, const ClusterOptions& options);
@@ -98,12 +93,12 @@ class ClusterServer {
                            const SceneGenerator* reference = nullptr);
 
   /// Streams a still-growing feed (single-video catalog) exactly as
-  /// StreamingServer::RunLive does: publish events carry the lowest seqs
-  /// (cluster-wide), so the event order — and the simulated outcome — is
-  /// identical to the single-node live run and across node counts. The
-  /// feed must ingest into the same store root the cluster's backends
-  /// share — published cells are then readable by every node through its
-  /// L1/L2 tiers, exactly as for static videos.
+  /// StreamingServer::RunLive does: publish events carry the lowest seqs,
+  /// so the event order — and the simulated outcome — is identical to the
+  /// single-node live run and across node counts. The feed must ingest into
+  /// the same store root the cluster's backends share — published cells
+  /// are then readable by every node through its L1/L2 tiers, exactly as
+  /// for static videos.
   Result<ClusterStats> RunLive(LiveFeed* feed,
                                const std::vector<ViewerRequest>& viewers,
                                const SceneGenerator* reference = nullptr);
@@ -111,11 +106,6 @@ class ClusterServer {
   const ClusterOptions& options() const { return options_; }
 
  private:
-  Result<ClusterStats> RunInternal(const std::vector<VideoMetadata>* videos,
-                                   LiveFeed* live,
-                                   const std::vector<ViewerRequest>& viewers,
-                                   const SceneGenerator* reference);
-
   ShardedStore* store_;
   ClusterOptions options_;
 };

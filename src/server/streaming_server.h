@@ -34,15 +34,12 @@ struct ServerOptions {
   /// (it could never be admitted); others wait in the queue until enough
   /// bandwidth and a slot free up. 0 disables the budget.
   double bandwidth_budget_bps = 0.0;
-  /// Route every delivered cell through the storage manager's shared
-  /// buffer cache (ClientSession fetch_cells). This is what makes
-  /// concurrent viewers of one video share reads.
-  bool fetch_cells = true;
-  /// Maintain one popularity model per run, fed by every admitted
-  /// session's live orientations and consulted by every kVisualCloud
-  /// plan — viewers teach each other where to look.
+  /// Maintain one popularity model per run (per video under a cluster),
+  /// fed by every admitted session's live orientations and consulted by
+  /// every kVisualCloud plan — viewers teach each other where to look. Each
+  /// viewer's own SessionOptions::popularity_coverage sets how much of the
+  /// gaze mass its plans cover.
   bool shared_popularity = true;
-  double popularity_coverage = 0.8;
 
   /// Maintain one PlanCache per run (per video under a cluster): sessions
   /// with identical planning inputs share one computed TileQualityPlan.
@@ -89,9 +86,9 @@ struct ServerStats {
   int transfer_retries = 0;
   int segments_skipped = 0;
 
-  /// Shared-cache activity attributable to this run (delta over the
-  /// storage manager's counters; bytes_cached is the end-of-run value).
-  /// Includes the prefetch issued/hit/wasted attribution deltas.
+  /// Cache activity attributable to this run: the sum over serving nodes
+  /// of each node cache's end-minus-start delta (bytes_cached is the
+  /// end-of-run level). Includes the prefetch issued/hit/wasted deltas.
   CacheStats cache;
   /// Prefetch request-queue accounting (zero when prefetch is off).
   PrefetcherStats prefetch;
@@ -123,14 +120,16 @@ struct ServerStats {
 
 /// \brief A multi-viewer VisualCloud streaming server simulation.
 ///
-/// Runs N concurrent ClientSessions over one shared StorageManager (and
-/// its LRU cell cache) under a deterministic discrete-event scheduler: a
-/// min-heap over session deadlines, ties broken by insertion order, so a
-/// run's outcome is a pure function of its inputs — identical viewer
-/// requests and seeds give bit-identical stats regardless of host timing.
-/// Admission control bounds concurrency (FIFO wait queue) and aggregate
-/// client bandwidth (reject), and an optional shared popularity model is
-/// fed live by every session and consulted by every plan.
+/// The one-node configuration of the serving scheduler ClusterServer also
+/// runs: N concurrent ClientSessions over one shared StorageManager (and
+/// its LRU cell cache), every delivered cell fetched through that cache,
+/// under a deterministic discrete-event scheduler — a min-heap over session
+/// deadlines, ties broken by insertion order, so a run's outcome is a pure
+/// function of its inputs: identical viewer requests and seeds give
+/// bit-identical stats regardless of host timing. Admission control bounds
+/// concurrency (FIFO wait queue) and aggregate client bandwidth (reject),
+/// and an optional shared popularity model is fed live by every session
+/// and consulted by every plan.
 class StreamingServer {
  public:
   StreamingServer(StorageManager* storage, const ServerOptions& options);
@@ -157,11 +156,6 @@ class StreamingServer {
   const ServerOptions& options() const { return options_; }
 
  private:
-  Result<ServerStats> RunInternal(const VideoMetadata* static_metadata,
-                                  LiveFeed* live,
-                                  const std::vector<ViewerRequest>& viewers,
-                                  const SceneGenerator* reference);
-
   StorageManager* storage_;
   ServerOptions options_;
 };

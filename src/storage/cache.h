@@ -63,7 +63,42 @@ struct CacheStats {
     uint64_t total = hits + misses;
     return total == 0 ? 0.0 : static_cast<double>(hits) / total;
   }
+
+  /// Field-wise sum: the activity of several caches (a cluster's L1s). The
+  /// `bytes_cached` levels add up to the caches' combined footprint.
+  CacheStats& operator+=(const CacheStats& other) {
+    hits += other.hits;
+    misses += other.misses;
+    evictions += other.evictions;
+    bytes_cached += other.bytes_cached;
+    coalesced += other.coalesced;
+    rejected_oversize += other.rejected_oversize;
+    admission_rejects += other.admission_rejects;
+    prefetch_issued += other.prefetch_issued;
+    prefetch_hits += other.prefetch_hits;
+    prefetch_wasted += other.prefetch_wasted;
+    return *this;
+  }
 };
+
+/// The activity between two snapshots of one cache (`after - before`).
+/// Every counter is the difference, but `bytes_cached` is a level, not a
+/// counter, so the result keeps `after.bytes_cached`.
+inline CacheStats operator-(const CacheStats& after,
+                            const CacheStats& before) {
+  CacheStats delta;
+  delta.hits = after.hits - before.hits;
+  delta.misses = after.misses - before.misses;
+  delta.evictions = after.evictions - before.evictions;
+  delta.bytes_cached = after.bytes_cached;
+  delta.coalesced = after.coalesced - before.coalesced;
+  delta.rejected_oversize = after.rejected_oversize - before.rejected_oversize;
+  delta.admission_rejects = after.admission_rejects - before.admission_rejects;
+  delta.prefetch_issued = after.prefetch_issued - before.prefetch_issued;
+  delta.prefetch_hits = after.prefetch_hits - before.prefetch_hits;
+  delta.prefetch_wasted = after.prefetch_wasted - before.prefetch_wasted;
+  return delta;
+}
 
 /// Construction options for LruCache.
 struct LruCacheOptions {

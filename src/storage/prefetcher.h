@@ -83,6 +83,15 @@ struct PrefetcherStats {
   double CancellationRatio() const {
     return enqueued == 0 ? 0.0 : static_cast<double>(cancelled) / enqueued;
   }
+
+  PrefetcherStats& operator+=(const PrefetcherStats& other) {
+    enqueued += other.enqueued;
+    dispatched += other.dispatched;
+    cancelled += other.cancelled;
+    deduped += other.deduped;
+    stale_skipped += other.stale_skipped;
+    return *this;
+  }
 };
 
 /// \brief Prediction-driven cell prefetcher: VisualCloud's "do the work

@@ -354,6 +354,12 @@ TEST_F(CoreTest, SessionValidation) {
   options = BaseSession(StreamingApproach::kVisualCloud);
   options.predictor = "psychic";
   EXPECT_FALSE(SimulateSession(db_->storage(), *metadata, trace, options).ok());
+
+  options = BaseSession(StreamingApproach::kVisualCloud);
+  options.popularity_coverage = 0.0;
+  EXPECT_TRUE(SimulateSession(db_->storage(), *metadata, trace, options)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST_F(CoreTest, PopularityModelExpandsHighQualitySet) {

@@ -7,6 +7,7 @@
 #include "common/env.h"
 #include "core/session.h"
 #include "core/visualcloud.h"
+#include "obs/metrics.h"
 #include "predict/trace_synthesizer.h"
 #include "server/cluster_server.h"
 #include "server/live_feed.h"
@@ -381,9 +382,6 @@ TEST_F(ServerTest, ServerOptionsValidate) {
   options.bandwidth_budget_bps = -1;
   EXPECT_FALSE(options.Validate().ok());
   options = ServerOptions{};
-  options.popularity_coverage = 0.0;
-  EXPECT_FALSE(options.Validate().ok());
-  options = ServerOptions{};
   options.prefetcher.max_queue = 0;
   EXPECT_FALSE(options.Validate().ok());
   options = ServerOptions{};
@@ -397,9 +395,6 @@ TEST_F(ServerTest, ClusterOptionsValidate) {
   ClusterOptions options;
   EXPECT_TRUE(options.Validate().ok());
   options.nodes = 0;
-  EXPECT_FALSE(options.Validate().ok());
-  options = ClusterOptions{};
-  options.balance_slack = -1;
   EXPECT_FALSE(options.Validate().ok());
   options = ClusterOptions{};
   options.node.max_concurrent_sessions = 0;
@@ -1000,6 +995,137 @@ TEST_F(ServerTest, PrefetchChurnCountersSurfaceInServerStats) {
   ASSERT_EQ(stats->sessions.size(), cold->sessions.size());
   for (size_t i = 0; i < stats->sessions.size(); ++i) {
     ExpectSameStats(stats->sessions[i], cold->sessions[i]);
+  }
+}
+
+// A CellSource that forwards to a StorageManager and counts the cells its
+// callers ask for.
+class CountingCellSource : public CellSource {
+ public:
+  explicit CountingCellSource(StorageManager* storage) : storage_(storage) {}
+
+  Result<LruCache::Value> ReadCell(const VideoMetadata& metadata, int segment,
+                                   int tile, int quality) override {
+    ++cells_;
+    return storage_->ReadCell(metadata, segment, tile, quality);
+  }
+  Result<LruCache::AsyncHandle> ReadCellAsync(const VideoMetadata& metadata,
+                                              int segment, int tile,
+                                              int quality,
+                                              LoadKind kind) override {
+    ++cells_;
+    return storage_->ReadCellAsync(metadata, segment, tile, quality, kind);
+  }
+  Status ReadPlannedCells(const VideoMetadata& metadata, int segment,
+                          const std::vector<int>& tile_qualities) override {
+    cells_ += tile_qualities.size();
+    return storage_->ReadPlannedCells(metadata, segment, tile_qualities);
+  }
+  ThreadPool* io_pool() const override { return storage_->io_pool(); }
+  CacheStats cache_stats() const override { return storage_->cache_stats(); }
+
+  uint64_t cells() const { return cells_; }
+
+ private:
+  StorageManager* storage_;
+  uint64_t cells_ = 0;
+};
+
+TEST_F(ServerTest, ViewerCellSourceWinsOverTheServerStorage) {
+  // A viewer's own SessionOptions::cell_source carries every demand read
+  // the server makes for it, and routing through it changes no outcome.
+  VideoMetadata metadata = Metadata();
+  db_->storage()->ClearCache();
+  StreamingServer plain_server(db_->storage(), ServerOptions{});
+  auto plain = plain_server.Run(metadata, MakeViewers(4));
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+
+  CountingCellSource source(db_->storage());
+  std::vector<ViewerRequest> viewers = MakeViewers(4);
+  for (ViewerRequest& viewer : viewers) viewer.session.cell_source = &source;
+  db_->storage()->ClearCache();
+  StreamingServer routed_server(db_->storage(), ServerOptions{});
+  auto routed = routed_server.Run(metadata, viewers);
+  ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+
+  EXPECT_GT(source.cells(), 0u);
+  EXPECT_EQ(source.cells(), plain->cache.hits + plain->cache.misses);
+  EXPECT_EQ(routed->cache.hits, plain->cache.hits);
+  EXPECT_EQ(routed->cache.misses, plain->cache.misses);
+  EXPECT_EQ(routed->bytes_sent, plain->bytes_sent);
+  EXPECT_EQ(routed->wall_seconds, plain->wall_seconds);
+  ASSERT_EQ(routed->sessions.size(), plain->sessions.size());
+  for (size_t i = 0; i < routed->sessions.size(); ++i) {
+    ExpectSameStats(routed->sessions[i], plain->sessions[i]);
+  }
+}
+
+TEST_F(ServerTest, SingleNodeAndClusterEmitTheSameServerMetrics) {
+  // Every serving configuration reports through one set of server.*
+  // metrics, each agreeing with the run's ServerStats. Two slots per node
+  // and a viewer over the bandwidth budget exercise queueing and rejection.
+  VideoMetadata metadata = Metadata();
+  std::vector<ViewerRequest> viewers = MakeViewers(7);
+  viewers[3].session.network.bandwidth_bps = 400e6;
+  ServerOptions server_options;
+  server_options.max_concurrent_sessions = 2;
+  server_options.bandwidth_budget_bps = 200e6;
+
+  MetricRegistry& registry = MetricRegistry::Global();
+  auto check_metrics = [&](const ServerStats& stats,
+                           const MetricsSnapshot& before) {
+    const MetricsSnapshot after = registry.Snapshot();
+    auto counter_delta = [&](const std::string& name) -> uint64_t {
+      auto was = before.counters.find(name);
+      return after.counters.at(name) -
+             (was == before.counters.end() ? 0 : was->second);
+    };
+    EXPECT_GT(stats.sessions_queued, 0);
+    EXPECT_EQ(stats.sessions_rejected, 1);
+    EXPECT_EQ(counter_delta("server.sessions_admitted"),
+              static_cast<uint64_t>(stats.sessions_admitted));
+    EXPECT_EQ(counter_delta("server.sessions_rejected"),
+              static_cast<uint64_t>(stats.sessions_rejected));
+    EXPECT_EQ(counter_delta("server.sessions_completed"),
+              static_cast<uint64_t>(stats.sessions_completed));
+    EXPECT_EQ(after.gauges.at("server.active_sessions"), 0.0);
+    EXPECT_EQ(after.gauges.at("server.queue_depth"), 0.0);
+    EXPECT_DOUBLE_EQ(after.gauges.at("server.cache_hit_rate"),
+                     stats.cache.HitRate());
+    EXPECT_DOUBLE_EQ(after.gauges.at("server.rebuffer_ratio"),
+                     stats.RebufferRatio());
+    EXPECT_DOUBLE_EQ(after.gauges.at("server.plan_cache_hit_rate"),
+                     stats.plan.HitRate());
+    EXPECT_EQ(after.gauges.count("server.node.0.host_seconds"), 1u);
+    EXPECT_EQ(after.counters.count("server.cluster.locality_placements"), 1u);
+    EXPECT_EQ(after.counters.count("server.cluster.spillovers"), 1u);
+  };
+
+  {
+    SCOPED_TRACE("single node");
+    db_->storage()->ClearCache();
+    const MetricsSnapshot before = registry.Snapshot();
+    StreamingServer server(db_->storage(), server_options);
+    auto stats = server.Run(metadata, viewers);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    check_metrics(*stats, before);
+  }
+  {
+    SCOPED_TRACE("2-node cluster");
+    ShardedStoreOptions store_options;
+    store_options.backend.env = env_;
+    store_options.backend.root = "/vcdb";
+    store_options.shards = 2;
+    auto store = ShardedStore::Open(store_options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ClusterOptions options;
+    options.nodes = 2;
+    options.node = server_options;
+    const MetricsSnapshot before = registry.Snapshot();
+    ClusterServer cluster(store->get(), options);
+    auto run = cluster.Run({metadata}, viewers);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    check_metrics(run->totals, before);
   }
 }
 
