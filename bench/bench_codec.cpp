@@ -240,7 +240,10 @@ void PrintIngestReuseTable() {
   }
   std::printf("\n");
 
-  std::string json = "{\n  \"frames\": " + std::to_string(kSeconds * kFps) +
+  std::string json = std::string("{\n  \"env\": ")
+                         .append(EnvStampJson())
+                         .append(",\n  \"frames\": ") +
+                     std::to_string(kSeconds * kFps) +
                      ", \"ladder_rungs\": 3,\n  \"runs\": [\n" + rows_json +
                      "\n ]}";
   // Merged key-by-key so bench_kernels' sections in the same snapshot file
@@ -397,10 +400,10 @@ void PrintSimdHuffmanTable() {
   }
   std::printf("\n");
 
-  char json[2048];
+  char json[4096];
   std::snprintf(
       json, sizeof(json),
-      "{\n  \"best_tier\": \"%s\",\n  \"segment\": {\n"
+      "{\n  \"env\": %s,\n  \"best_tier\": \"%s\",\n  \"segment\": {\n"
       "   \"scalar_eg\": {\"encode_seconds\": %.4f, \"decode_seconds\": "
       "%.4f, \"bytes\": %zu, \"psnr_db\": %.3f},\n"
       "   \"simd_eg\": {\"encode_seconds\": %.4f, \"decode_seconds\": %.4f, "
@@ -412,7 +415,8 @@ void PrintSimdHuffmanTable() {
       "%.3f,\n"
       "   \"psnr_delta_db\": 0.0, \"stream_bit_identical\": true},\n"
       "  \"bitrate_sweep\": [%s]\n }",
-      simd::LevelName(simd::ActiveLevel()), results[0].encode_seconds,
+      EnvStampJson().c_str(), simd::LevelName(simd::ActiveLevel()),
+      results[0].encode_seconds,
       results[0].decode_seconds, results[0].bytes, results[0].psnr_db,
       results[1].encode_seconds, results[1].decode_seconds, results[1].bytes,
       results[1].psnr_db, results[2].encode_seconds,

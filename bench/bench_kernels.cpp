@@ -1,5 +1,6 @@
 // M1k — codec kernel microbenchmark: scalar vs SIMD throughput for each hot
-// kernel (SAD, forward/inverse DCT, quantization), plus entropy-coder
+// kernel (SAD, the integer forward/inverse transform, quantization, and the
+// four chained as the encoder runs them), plus entropy-coder
 // throughput and density (Exp-Golomb vs canonical Huffman).
 //
 // Expected shape: the SIMD columns are several-fold faster than scalar for
@@ -152,12 +153,11 @@ struct TransformData {
   std::vector<LevelBlock> levels;        // Quantize output
   std::vector<CoeffBlock> dequantized;   // Dequantize output
   std::vector<int> nonzero;
-  double qstep = 0.0;
+  int qp = 28;
 };
 
 TransformData MakeTransformData(int blocks) {
   TransformData data;
-  data.qstep = QStepForQp(28);
   Random rng(7002);
   data.residuals.resize(blocks);
   data.coeffs.resize(blocks);
@@ -172,11 +172,8 @@ TransformData MakeTransformData(int blocks) {
           static_cast<int16_t>(base + static_cast<int>(rng.Uniform(25)) - 12);
     }
     ForwardDct(data.residuals[i], &data.coeffs[i]);
-    Quantize(data.coeffs[i], data.qstep, &data.levels[i]);
-    int nonzero = 0;
-    for (int32_t v : data.levels[i]) nonzero += v != 0;
-    data.nonzero[i] = nonzero;
-    Dequantize(data.levels[i], data.qstep, &data.dequantized[i]);
+    data.nonzero[i] = Quantize(data.coeffs[i], data.qp, &data.levels[i]);
+    Dequantize(data.levels[i], data.qp, &data.dequantized[i]);
   }
   return data;
 }
@@ -204,7 +201,7 @@ std::vector<KernelRow> BenchTransforms(const TransformData& data, int reps) {
       blocks, &coeff_out,
       [&](int i, CoeffBlock* out) { ForwardDct(data.residuals[i], out); },
       "ForwardDct scalar/SIMD");
-  rows.push_back(TimeKernel("fdct", bytes, reps, [&] {
+  rows.push_back(TimeKernel("fdct_int", bytes, reps, [&] {
     for (int i = 0; i < blocks; ++i) {
       ForwardDct(data.residuals[i], &coeff_out[i]);
     }
@@ -215,62 +212,51 @@ std::vector<KernelRow> BenchTransforms(const TransformData& data, int reps) {
       blocks, &res_out,
       [&](int i, ResidualBlock* out) { InverseDct(data.dequantized[i], out); },
       "InverseDct scalar/SIMD");
-  rows.push_back(TimeKernel("idct", bytes, reps, [&] {
+  rows.push_back(TimeKernel("idct_int", bytes, reps, [&] {
     for (int i = 0; i < blocks; ++i) {
       InverseDct(data.dequantized[i], &res_out[i]);
     }
   }));
 
-  // Sparse IDCT on the blocks that actually take that path in the decoder.
-  std::vector<int> sparse;
-  for (int i = 0; i < blocks; ++i) {
-    if (data.nonzero[i] > 0 && data.nonzero[i] <= kInverseDctSparseThreshold) {
-      sparse.push_back(i);
-    }
-  }
-  if (!sparse.empty()) {
-    std::vector<ResidualBlock> sparse_out(sparse.size());
-    CheckBlockwiseAgreement(
-        static_cast<int>(sparse.size()), &sparse_out,
-        [&](int i, ResidualBlock* out) {
-          InverseDctSparse(data.dequantized[sparse[i]],
-                           data.nonzero[sparse[i]], out);
-        },
-        "InverseDctSparse scalar/SIMD");
-    rows.push_back(TimeKernel(
-        "idct_sparse", static_cast<double>(sparse.size()) * kBlockPixels,
-        reps, [&] {
-          for (size_t i = 0; i < sparse.size(); ++i) {
-            InverseDctSparse(data.dequantized[sparse[i]],
-                             data.nonzero[sparse[i]], &sparse_out[i]);
-          }
-        }));
-  }
-
   std::vector<LevelBlock> level_out(blocks);
   CheckBlockwiseAgreement(
       blocks, &level_out,
       [&](int i, LevelBlock* out) {
-        Quantize(data.coeffs[i], data.qstep, out);
+        Check(Quantize(data.coeffs[i], data.qp, out) == data.nonzero[i],
+              "Quantize nonzero count");
       },
       "Quantize scalar/SIMD");
   rows.push_back(TimeKernel("quant", bytes, reps, [&] {
     for (int i = 0; i < blocks; ++i) {
-      Quantize(data.coeffs[i], data.qstep, &level_out[i]);
+      Quantize(data.coeffs[i], data.qp, &level_out[i]);
     }
   }));
 
   std::vector<CoeffBlock> deq_out(blocks);
   CheckBlockwiseAgreement(
       blocks, &deq_out,
-      [&](int i, CoeffBlock* out) {
-        Dequantize(data.levels[i], data.qstep, out);
-      },
+      [&](int i, CoeffBlock* out) { Dequantize(data.levels[i], data.qp, out); },
       "Dequantize scalar/SIMD");
   rows.push_back(TimeKernel("dequant", bytes, reps, [&] {
     for (int i = 0; i < blocks; ++i) {
-      Dequantize(data.levels[i], data.qstep, &deq_out[i]);
+      Dequantize(data.levels[i], data.qp, &deq_out[i]);
     }
+  }));
+
+  // The whole per-block codec path as the encoder runs it on a coded block.
+  std::vector<ResidualBlock> recon_out(blocks);
+  auto block_path = [&](int i, ResidualBlock* out) {
+    CoeffBlock coeffs;
+    LevelBlock levels;
+    ForwardDct(data.residuals[i], &coeffs);
+    Quantize(coeffs, data.qp, &levels);
+    Dequantize(levels, data.qp, &coeffs);
+    InverseDct(coeffs, out);
+  };
+  CheckBlockwiseAgreement(blocks, &recon_out, block_path,
+                          "transform+quant path scalar/SIMD");
+  rows.push_back(TimeKernel("fq_dq_idct", bytes, reps, [&] {
+    for (int i = 0; i < blocks; ++i) block_path(i, &recon_out[i]);
   }));
 
   return rows;
@@ -445,7 +431,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::string kernels_json = "{\n  \"best_tier\": \"";
+  std::string kernels_json = std::string("{\n  \"env\": ")
+                                 .append(EnvStampJson())
+                                 .append(",\n  \"best_tier\": \"");
   kernels_json += simd::LevelName(simd::ActiveLevel());
   kernels_json += "\",\n  \"pixel_mb_per_s\": {";
   for (size_t i = 0; i < rows.size(); ++i) {

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "codec/simd.h"
 #include "common/env.h"
 #include "core/session.h"
 #include "core/visualcloud.h"
@@ -135,6 +136,30 @@ inline void Banner(const char* experiment, const char* claim) {
   std::printf("%s\n", experiment);
   std::printf("  %s\n", claim);
   std::printf("=======================================================\n");
+}
+
+#if !defined(VC_BUILD_TYPE)
+#define VC_BUILD_TYPE ""
+#endif
+
+/// Environment stamp for a BENCH_*.json table — compiler, build type, active
+/// SIMD tier — so numbers taken on different builds or hosts are never
+/// compared blind.
+inline std::string EnvStampJson() {
+#if defined(__clang__)
+  const char* compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const char* compiler = "GNU " __VERSION__;
+#else
+  const char* compiler = "unknown";
+#endif
+  return std::string("{\"compiler\": \"")
+      .append(compiler)
+      .append("\", \"build_type\": \"")
+      .append(VC_BUILD_TYPE)
+      .append("\", \"simd\": \"")
+      .append(simd::LevelName(simd::ActiveLevel()))
+      .append("\"}");
 }
 
 /// Prints the process-wide metrics snapshot as a single machine-parseable

@@ -62,8 +62,9 @@ simd() {
   # re-verifies kernel-level agreement plus both entropy-coder round-trips.
   cmake -B build-sse41 -S . -DCMAKE_CXX_FLAGS=-msse4.1
   cmake --build build-sse41 -j"$JOBS" --target codec_test codec_fuzz_test \
-    common_test bench_kernels
+    codec_format_test common_test bench_kernels
   ./build-sse41/tests/codec_test
+  ./build-sse41/tests/codec_format_test
   ./build-sse41/tests/codec_fuzz_test
   ./build-sse41/tests/common_test
   ./build-sse41/bench/bench_kernels --smoke
@@ -72,8 +73,10 @@ simd() {
   # path at compile time). The same codec suite passing here pins the scalar
   # fallbacks as the reference the vector tiers are measured against.
   cmake -B build-scalar -S . -DVC_DISABLE_SIMD=ON
-  cmake --build build-scalar -j"$JOBS" --target codec_test codec_fuzz_test
+  cmake --build build-scalar -j"$JOBS" --target codec_test codec_fuzz_test \
+    codec_format_test
   ./build-scalar/tests/codec_test
+  ./build-scalar/tests/codec_format_test
   ./build-scalar/tests/codec_fuzz_test
 
   # Leg 3: ASan + UBSan over the deterministic fuzz corpora — the codec
@@ -87,10 +90,11 @@ simd() {
   # caches the serve loop owns, so a use-after-free there surfaces here.
   cmake -B build-asan -S . -DVC_SANITIZE=address+undefined
   cmake --build build-asan -j"$JOBS" --target codec_fuzz_test codec_test \
-    common_test manifest_fuzz_test container_fuzz_test query_fuzz_test \
-    view_fuzz_test server_test storage_test
+    codec_format_test common_test manifest_fuzz_test container_fuzz_test \
+    query_fuzz_test view_fuzz_test server_test storage_test
   ./build-asan/tests/codec_fuzz_test
   ./build-asan/tests/codec_test
+  ./build-asan/tests/codec_format_test
   ./build-asan/tests/common_test
   ./build-asan/tests/manifest_fuzz_test
   ./build-asan/tests/container_fuzz_test

@@ -8,7 +8,10 @@ namespace vc {
 
 namespace {
 
-constexpr char kMagic[4] = {'V', 'C', 'C', '1'};
+// Version 2: the exact-integer transform. Version-1 streams (the earlier
+// floating-point transform) reconstruct differently, so they are rejected
+// rather than decoded with drift.
+constexpr char kMagic[4] = {'V', 'C', 'C', '2'};
 
 void PutU16(std::vector<uint8_t>* out, uint16_t v) {
   out->push_back(static_cast<uint8_t>(v >> 8));
@@ -54,7 +57,7 @@ Result<SequenceHeader> SequenceHeader::Parse(Slice data) {
     return Status::Corruption("sequence header truncated");
   }
   if (std::memcmp(data.data(), kMagic, 4) != 0) {
-    return Status::Corruption("bad VCC1 magic");
+    return Status::Corruption("bad VCC2 magic");
   }
   SequenceHeader header;
   const uint8_t* p = data.data() + 4;

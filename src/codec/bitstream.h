@@ -33,7 +33,7 @@ enum class IntraMode : uint8_t { kDc = 0, kHorizontal = 1, kVertical = 2 };
 enum class EntropyProfile : uint8_t { kExpGolomb = 0, kHuffman = 1 };
 
 /// \brief Stream-level parameters, written once at the head of every encoded
-/// video stream ("VCC1" bitstream). Everything a decoder needs to begin.
+/// video stream ("VCC2" bitstream). Everything a decoder needs to begin.
 struct SequenceHeader {
   uint16_t width = 0;          ///< Luma width (multiple of 16).
   uint16_t height = 0;         ///< Luma height (multiple of 16).
@@ -62,7 +62,7 @@ struct SequenceHeader {
   /// Serialized size in bytes (fixed).
   static constexpr size_t kSerializedSize = 4 + 2 * 4 + 4;
 
-  /// Writes the 16-byte header (magic "VCC1" + fields).
+  /// Writes the 16-byte header (magic "VCC2" + fields).
   std::vector<uint8_t> Serialize() const;
 
   /// Parses and validates a header; `data` must start with the magic.

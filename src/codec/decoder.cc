@@ -39,7 +39,6 @@ Result<Frame> Decoder::DecodeTiles(Slice frame_payload,
   VC_ASSIGN_OR_RETURN(type, ParseFrameType(frame_payload));
   int frame_qp;
   VC_ASSIGN_OR_RETURN(frame_qp, ParseFrameQp(frame_payload));
-  const double qstep = QStepForQp(frame_qp);
   TileGrid grid = header_.tile_grid();
   std::vector<std::pair<uint32_t, uint32_t>> ranges;
   VC_ASSIGN_OR_RETURN(ranges,
@@ -54,7 +53,7 @@ Result<Frame> Decoder::DecodeTiles(Slice frame_payload,
     Slice payload =
         frame_payload.Subslice(ranges[index].first, ranges[index].second);
     VC_RETURN_IF_ERROR(
-        DecodeTilePayload(payload, tile_rects_[index], type, qstep));
+        DecodeTilePayload(payload, tile_rects_[index], type, frame_qp));
   }
   reference_ = recon_;
   return recon_;
@@ -62,7 +61,7 @@ Result<Frame> Decoder::DecodeTiles(Slice frame_payload,
 
 Status Decoder::DecodeTilePayload(Slice payload,
                                   const TileGrid::PixelRect& rect,
-                                  FrameType type, double qstep) {
+                                  FrameType type, int qp) {
   using namespace codec_internal;  // NOLINT
 
   const MotionBounds luma_bounds =
@@ -137,7 +136,7 @@ Status Decoder::DecodeTilePayload(Slice payload,
         IntraPredict(rec_y, lx, ly, kMbSize, intra_mode, tile_bounds, pred_y);
       }
       VC_RETURN_IF_ERROR(
-          DecodeResidual(&reader, pred_y, kMbSize, qstep, recon_y, huffman));
+          DecodeResidual(&reader, pred_y, kMbSize, qp, recon_y, huffman));
       StoreBlock(recon_y, kMbSize, recon_.y_plane().data(), recon_.width(), lx,
                  ly);
 
@@ -154,8 +153,7 @@ Status Decoder::DecodeTilePayload(Slice payload,
                        chroma_tile_bounds, pred_c);
         }
         VC_RETURN_IF_ERROR(
-            DecodeResidual(&reader, pred_c, kBlockSize, qstep, recon_c,
-                           huffman));
+            DecodeResidual(&reader, pred_c, kBlockSize, qp, recon_c, huffman));
         uint8_t* plane_data = plane == 0 ? recon_.u_plane().data()
                                          : recon_.v_plane().data();
         StoreBlock(recon_c, kBlockSize, plane_data, recon_.chroma_width(), cx,

@@ -112,7 +112,6 @@ Result<EncodedFrame> Encoder::Encode(const Frame& frame) {
     force_keyframe_ = false;
   }
   const int frame_qp = NextFrameQp();
-  const double qstep = QStepForQp(frame_qp);
 
   // The previous frame's reconstruction becomes the reference by swapping
   // buffers: every tile rect is fully re-encoded below, so recon_ is
@@ -150,7 +149,7 @@ Result<EncodedFrame> Encoder::Encode(const Frame& frame) {
   std::vector<std::vector<uint8_t>> tile_payloads(tile_rects_.size());
   for (size_t i = 0; i < tile_rects_.size(); ++i) {
     BitWriter writer;
-    EncodeTile(frame, tile_rects_[i], type, qstep, reuse_row, capture_row,
+    EncodeTile(frame, tile_rects_[i], type, frame_qp, reuse_row, capture_row,
                &writer);
     tile_payloads[i] = writer.Finish();
   }
@@ -247,8 +246,8 @@ struct DirectSink {
     WriteMbSyntax(type, use_inter, mv, intra_mode, writer);
   }
   void Residual(const uint8_t* cur, int cur_stride, const uint8_t* pred,
-                int size, double qstep, uint8_t* recon) {
-    codec_internal::EncodeResidual(cur, cur_stride, pred, size, qstep, writer,
+                int size, int qp, uint8_t* recon) {
+    codec_internal::EncodeResidual(cur, cur_stride, pred, size, qp, writer,
                                    recon);
   }
 };
@@ -269,21 +268,21 @@ struct BufferSink {
     mbs.push_back(MbSyntax{use_inter, mv, intra_mode});
   }
   void Residual(const uint8_t* cur, int cur_stride, const uint8_t* pred,
-                int size, double qstep, uint8_t* recon) {
-    codec_internal::AnalyzeResidual(cur, cur_stride, pred, size, qstep,
-                                    &blocks, recon);
+                int size, int qp, uint8_t* recon) {
+    codec_internal::AnalyzeResidual(cur, cur_stride, pred, size, qp, &blocks,
+                                    recon);
   }
 };
 
 }  // namespace
 
 void Encoder::EncodeTile(const Frame& frame, const TileGrid::PixelRect& rect,
-                         FrameType type, double qstep,
+                         FrameType type, int qp,
                          const BlockHint* reuse_row, BlockHint* capture_row,
                          BitWriter* writer) {
   if (options_.entropy_profile == EntropyProfile::kExpGolomb) {
     DirectSink sink{type, writer};
-    AnalyzeTile(frame, rect, type, qstep, reuse_row, capture_row, &sink);
+    AnalyzeTile(frame, rect, type, qp, reuse_row, capture_row, &sink);
     return;
   }
 
@@ -292,7 +291,7 @@ void Encoder::EncodeTile(const Frame& frame, const TileGrid::PixelRect& rect,
   // intra prediction feeds on it — and is entropy-independent, so pass 2 is
   // pure bit emission.
   BufferSink sink;
-  AnalyzeTile(frame, rect, type, qstep, reuse_row, capture_row, &sink);
+  AnalyzeTile(frame, rect, type, qp, reuse_row, capture_row, &sink);
 
   HuffmanBlockEncoder entropy;
   for (const CodedBlock& block : sink.blocks) entropy.CountBlock(block);
@@ -328,7 +327,7 @@ void Encoder::EncodeTile(const Frame& frame, const TileGrid::PixelRect& rect,
 
 template <typename Sink>
 void Encoder::AnalyzeTile(const Frame& frame, const TileGrid::PixelRect& rect,
-                          FrameType type, double qstep,
+                          FrameType type, int qp,
                           const BlockHint* reuse_row, BlockHint* capture_row,
                           Sink* sink) {
   using namespace codec_internal;  // NOLINT
@@ -351,7 +350,7 @@ void Encoder::AnalyzeTile(const Frame& frame, const TileGrid::PixelRect& rect,
   PlaneView rec_v{recon_.v_plane().data(), recon_.chroma_width()};
 
   // Lagrangian weight for motion-vector rate in the mode decision.
-  const double lambda = qstep;
+  const double lambda = QStepForQp(qp);
 
   const int mb_cols = options_.width / kMbSize;
 
@@ -466,7 +465,7 @@ void Encoder::AnalyzeTile(const Frame& frame, const TileGrid::PixelRect& rect,
         IntraPredict(rec_y, lx, ly, kMbSize, intra_mode, tile_bounds, pred_y);
       }
       sink->Residual(cur_y.data + static_cast<size_t>(ly) * cur_y.stride + lx,
-                     cur_y.stride, pred_y, kMbSize, qstep, recon_y);
+                     cur_y.stride, pred_y, kMbSize, qp, recon_y);
       StoreBlock(recon_y, kMbSize, recon_.y_plane().data(), recon_.width(), lx,
                  ly);
 
@@ -487,7 +486,7 @@ void Encoder::AnalyzeTile(const Frame& frame, const TileGrid::PixelRect& rect,
         }
         sink->Residual(
             cur_c.data + static_cast<size_t>(cy) * cur_c.stride + cx,
-            cur_c.stride, pred_c, kBlockSize, qstep, recon_c);
+            cur_c.stride, pred_c, kBlockSize, qp, recon_c);
         uint8_t* plane_data = plane == 0 ? recon_.u_plane().data()
                                          : recon_.v_plane().data();
         StoreBlock(recon_c, kBlockSize, plane_data, recon_.chroma_width(), cx,

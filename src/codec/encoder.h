@@ -138,7 +138,7 @@ class Encoder {
   /// (indexed by global raster macroblock index); `capture_row` likewise
   /// receives this frame's decisions.
   void EncodeTile(const Frame& frame, const TileGrid::PixelRect& rect,
-                  FrameType type, double qstep, const BlockHint* reuse_row,
+                  FrameType type, int qp, const BlockHint* reuse_row,
                   BlockHint* capture_row, BitWriter* writer);
 
   /// The analysis/prediction/transform loop shared by both entropy profiles.
@@ -148,7 +148,7 @@ class Encoder {
   /// everything for the two-pass emit in EncodeTile.
   template <typename Sink>
   void AnalyzeTile(const Frame& frame, const TileGrid::PixelRect& rect,
-                   FrameType type, double qstep, const BlockHint* reuse_row,
+                   FrameType type, int qp, const BlockHint* reuse_row,
                    BlockHint* capture_row, Sink* sink);
 
   /// Per-frame analysis accounting, flushed to the metrics registry at the

@@ -204,55 +204,34 @@ inline void ReconstructBlock(const uint8_t* pred, int size, int bx, int by,
 /// analysis/reconstruction can never drift between them.
 template <typename Sink>
 void ForEachResidualBlock(const uint8_t* cur, int cur_stride,
-                          const uint8_t* pred, int size, double qstep,
+                          const uint8_t* pred, int size, int qp,
                           uint8_t* recon, Sink&& sink) {
   ResidualBlock residual;
   CoeffBlock coeffs;
   LevelBlock levels;
-  // Every DCT coefficient's magnitude is bounded by the residual's L2 norm
-  // (Parseval; the basis is orthonormal), itself at most 8·max|residual|.
-  // When the bound stays strictly inside the quantizer dead zone
-  // (level = 0 iff |X| < 0.6·qstep), every level is provably zero: the
-  // block costs one codeword and reconstructs to the prediction, so the
-  // transform is skipped outright. A borderline disagreement with the
-  // quantizer's own rounding is harmless — both sides of the codec see the
-  // same all-zero block either way.
-  const double zero_bound = 0.6 * qstep;
+  const ZeroBlockBound zero_bound(qp);
   for (int by = 0; by < size; by += kBlockSize) {
     for (int bx = 0; bx < size; bx += kBlockSize) {
-      int max_abs =
+      const int max_abs =
           ComputeResidualBlock(cur, cur_stride, pred, size, bx, by, &residual);
-      bool provably_zero = 8.0 * max_abs < zero_bound;
-      if (!provably_zero && max_abs < zero_bound) {
-        // Cheap bound failed but the exact L2 bound might not: 64 integer
-        // multiplies against a 1024-flop transform.
-        provably_zero =
-            static_cast<double>(ResidualSsd(residual)) < zero_bound * zero_bound;
-      }
-      if (provably_zero) {
+      if (zero_bound.Holds(residual, max_abs)) {
+        // Every level is zero: skip the transform outright. The block costs
+        // one codeword and reconstructs to the prediction.
         sink(static_cast<const LevelBlock*>(nullptr), 0);
         CopyPredBlock(pred, size, bx, by, recon);
         continue;
       }
 
       ForwardDct(residual, &coeffs);
-      Quantize(coeffs, qstep, &levels);
-      int nonzero = 0;
-      for (int i = 0; i < kBlockPixels; ++i) nonzero += levels[i] != 0;
+      const int nonzero = Quantize(coeffs, qp, &levels);
       sink(&levels, nonzero);
-      // Reconstruct exactly as the decoder will, with the same all-zero /
-      // sparse / dense inverse-transform dispatch so both reconstructions
-      // stay bit-identical.
+      // Reconstruct exactly as the decoder will.
       if (nonzero == 0) {
         CopyPredBlock(pred, size, bx, by, recon);
         continue;
       }
-      Dequantize(levels, qstep, &coeffs);
-      if (nonzero <= kInverseDctSparseThreshold) {
-        InverseDctSparse(coeffs, nonzero, &residual);
-      } else {
-        InverseDct(coeffs, &residual);
-      }
+      Dequantize(levels, qp, &coeffs);
+      InverseDct(coeffs, &residual);
       ReconstructBlock(pred, size, bx, by, residual, recon);
     }
   }
@@ -260,10 +239,31 @@ void ForEachResidualBlock(const uint8_t* cur, int cur_stride,
 
 }  // namespace
 
+// Quantize maps |c| ≤ limit to level 0, and the forward transform's gains
+// bound every coefficient, rounding of both shifts included:
+//  - L1 bound: each butterfly row has L1 norm ≤ 512 (the DC row), so with
+//    M = max|r| the first stage gives |t| ≤ ⌊(512·M + 2)/4⌋ = 128·M and the
+//    second |c| ≤ ⌊(512·128·M + 256)/512⌋ = 128·M.
+//  - L2 bound: each row has L2 norm ≤ √2¹⁵ and each rounding moves a stage
+//    output by ≤ ½, so by Cauchy-Schwarz |c| ≤ (2¹⁵·‖r‖₂/4 + 512·½ + 256)/512
+//    = 16·‖r‖₂ + 1.
+// When either bound is within the limit, every level is zero — exactly, not
+// approximately.
+ZeroBlockBound::ZeroBlockBound(int qp)
+    : limit_(ZeroLevelLimit(qp)),
+      l2_limit_(int64_t{limit_ - 1} * (limit_ - 1)) {}
+
+bool ZeroBlockBound::Holds(const ResidualBlock& residual, int max_abs) const {
+  if (kForwardDctMaxGain * max_abs <= limit_) return true;
+  // The L1 bound failed but the L2 one (‖r‖₂ ≥ M) still might, at the cost
+  // of 64 multiplies against a whole transform:
+  // 16·‖r‖₂ + 1 ≤ limit ⇔ 256·SSD ≤ (limit − 1)².
+  return 16 * max_abs + 1 <= limit_ && 256 * ResidualSsd(residual) <= l2_limit_;
+}
+
 void EncodeResidual(const uint8_t* cur, int cur_stride, const uint8_t* pred,
-                    int size, double qstep, BitWriter* writer,
-                    uint8_t* recon) {
-  ForEachResidualBlock(cur, cur_stride, pred, size, qstep, recon,
+                    int size, int qp, BitWriter* writer, uint8_t* recon) {
+  ForEachResidualBlock(cur, cur_stride, pred, size, qp, recon,
                        [writer](const LevelBlock* levels, int /*nonzero*/) {
                          if (levels == nullptr) {
                            // As EncodeLevelBlock writes an all-zero block.
@@ -275,9 +275,9 @@ void EncodeResidual(const uint8_t* cur, int cur_stride, const uint8_t* pred,
 }
 
 void AnalyzeResidual(const uint8_t* cur, int cur_stride, const uint8_t* pred,
-                     int size, double qstep, std::vector<CodedBlock>* blocks,
+                     int size, int qp, std::vector<CodedBlock>* blocks,
                      uint8_t* recon) {
-  ForEachResidualBlock(cur, cur_stride, pred, size, qstep, recon,
+  ForEachResidualBlock(cur, cur_stride, pred, size, qp, recon,
                        [blocks](const LevelBlock* levels, int nonzero) {
                          CodedBlock& block = blocks->emplace_back();
                          block.nonzero = levels == nullptr ? 0 : nonzero;
@@ -286,15 +286,13 @@ void AnalyzeResidual(const uint8_t* cur, int cur_stride, const uint8_t* pred,
 }
 
 Status DecodeResidual(BitReader* reader, const uint8_t* pred, int size,
-                      double qstep, uint8_t* recon,
+                      int qp, uint8_t* recon,
                       const HuffmanBlockDecoder* huffman) {
   ResidualBlock residual;
   CoeffBlock coeffs;
   LevelBlock levels;
   for (int by = 0; by < size; by += kBlockSize) {
     for (int bx = 0; bx < size; bx += kBlockSize) {
-      // Mirror the encoder's all-zero / sparse / dense dispatch exactly so
-      // both reconstructions stay bit-identical.
       int nonzero = 0;
       if (huffman != nullptr) {
         VC_RETURN_IF_ERROR(huffman->DecodeBlock(reader, &levels, &nonzero));
@@ -305,12 +303,8 @@ Status DecodeResidual(BitReader* reader, const uint8_t* pred, int size,
         CopyPredBlock(pred, size, bx, by, recon);
         continue;
       }
-      Dequantize(levels, qstep, &coeffs);
-      if (nonzero <= kInverseDctSparseThreshold) {
-        InverseDctSparse(coeffs, nonzero, &residual);
-      } else {
-        InverseDct(coeffs, &residual);
-      }
+      Dequantize(levels, qp, &coeffs);
+      InverseDct(coeffs, &residual);
       ReconstructBlock(pred, size, bx, by, residual, recon);
     }
   }

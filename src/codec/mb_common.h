@@ -44,13 +44,29 @@ IntraNeighbors IntraAvailability(int x, int y, const MotionBounds& bounds);
 void IntraPredict(PlaneView plane, int x, int y, int size, IntraMode mode,
                   const MotionBounds& bounds, uint8_t* out);
 
+/// Zero-block predetection: whether a residual block provably quantizes to
+/// all-zero levels at `qp`, decided from the forward transform's gain bounds
+/// alone (no transform). Never true for a block that Quantize would give a
+/// nonzero level.
+class ZeroBlockBound {
+ public:
+  explicit ZeroBlockBound(int qp);
+
+  /// `max_abs` must be max|residual|.
+  bool Holds(const ResidualBlock& residual, int max_abs) const;
+
+ private:
+  int limit_;         // ZeroLevelLimit(qp)
+  int64_t l2_limit_;  // (limit_ − 1)²
+};
+
 /// Encodes the residual between `size`×`size` blocks `cur` (arbitrary
 /// stride) and `pred` (contiguous), writing levels to `writer` and the
 /// reconstruction (pred + dequantized residual, clamped) to `recon`
 /// (contiguous). Handles any size that is a multiple of 8 by iterating 8×8
 /// transform blocks in raster order.
 void EncodeResidual(const uint8_t* cur, int cur_stride, const uint8_t* pred,
-                    int size, double qstep, BitWriter* writer, uint8_t* recon);
+                    int size, int qp, BitWriter* writer, uint8_t* recon);
 
 /// Analysis half of EncodeResidual for two-pass entropy profiles: identical
 /// transform/quantization/reconstruction, but the quantized blocks are
@@ -59,14 +75,14 @@ void EncodeResidual(const uint8_t* cur, int cur_stride, const uint8_t* pred,
 /// with EncodeLevelBlock (or UE(0) when `nonzero == 0`) reproduces
 /// EncodeResidual's bitstream byte for byte.
 void AnalyzeResidual(const uint8_t* cur, int cur_stride, const uint8_t* pred,
-                     int size, double qstep, std::vector<CodedBlock>* blocks,
+                     int size, int qp, std::vector<CodedBlock>* blocks,
                      uint8_t* recon);
 
 /// Decoder mirror of EncodeResidual: reads levels and reconstructs. When
 /// `huffman` is non-null the levels are read as Huffman tokens (the tile
 /// payload's canonical table), otherwise as Exp-Golomb.
 Status DecodeResidual(BitReader* reader, const uint8_t* pred, int size,
-                      double qstep, uint8_t* recon,
+                      int qp, uint8_t* recon,
                       const HuffmanBlockDecoder* huffman = nullptr);
 
 /// Writes a contiguous `size`×`size` block into a frame plane.

@@ -15,11 +15,10 @@
 //    binary can run either path — which is how the bit-exactness tests and
 //    the scalar-vs-SIMD micro-benchmarks compare them.
 //
-// Every vector kernel in the codec is written to be *bit-identical* to its
-// scalar fallback: integer kernels trivially so, floating-point kernels by
-// performing the same operations in the same per-element order (no FMA
-// contraction, no reassociation). Tests enforce this; see
-// codec_test.cc (SimdTest.*).
+// Every vector kernel in the codec is *bit-identical* to its scalar
+// fallback: all of them, the transform included, are exact integer
+// arithmetic whose intermediates never overflow, so evaluation order cannot
+// matter. Tests enforce this; see codec_test.cc (SimdTest.*).
 
 #include <atomic>
 
@@ -106,68 +105,35 @@ inline uint32_t HorizontalSadSum(__m128i sad) {
       _mm_cvtsi128_si32(_mm_add_epi32(sad, _mm_srli_si128(sad, 8))));
 }
 
-/// Transposes an 8x8 block of doubles held as 8 rows x 4 __m128d registers.
-/// `m[r][c]` covers columns 2c, 2c+1 of row r. Pure data movement — values
-/// are untouched, so it cannot perturb bit-exactness.
-inline void Transpose8x8(__m128d m[8][4]) {
+/// Transposes an 8x8 block of int16 held as 8 rows (`m[r]` = row r, lane c =
+/// column c): three rounds of interleaves at 16-, 32- and 64-bit width. Pure
+/// data movement, so it cannot perturb bit-exactness.
+inline void Transpose8x8(__m128i m[8]) {
+  __m128i a[8], b[8];
+#pragma GCC unroll 8
   for (int r = 0; r < 8; r += 2) {
-    for (int c = 0; c < 8; c += 2) {
-      __m128d a = m[r][c / 2];
-      __m128d b = m[r + 1][c / 2];
-      m[r][c / 2] = _mm_unpacklo_pd(a, b);
-      m[r + 1][c / 2] = _mm_unpackhi_pd(a, b);
+    a[r / 2] = _mm_unpacklo_epi16(m[r], m[r + 1]);      // columns 0-3
+    a[4 + r / 2] = _mm_unpackhi_epi16(m[r], m[r + 1]);  // columns 4-7
+  }
+#pragma GCC unroll 8
+  for (int h = 0; h < 8; h += 4) {
+    b[h] = _mm_unpacklo_epi32(a[h], a[h + 1]);
+    b[h + 1] = _mm_unpackhi_epi32(a[h], a[h + 1]);
+    b[h + 2] = _mm_unpacklo_epi32(a[h + 2], a[h + 3]);
+    b[h + 3] = _mm_unpackhi_epi32(a[h + 2], a[h + 3]);
+  }
+  // b[h + j] (j < 2) holds columns h + 2j and h + 2j + 1 of rows 0-3;
+  // b[h + 2 + j] holds the same columns of rows 4-7.
+#pragma GCC unroll 8
+  for (int h = 0; h < 8; h += 4) {
+#pragma GCC unroll 8
+    for (int j = 0; j < 2; ++j) {
+      const int col = h + 2 * j;
+      m[col] = _mm_unpacklo_epi64(b[h + j], b[h + 2 + j]);
+      m[col + 1] = _mm_unpackhi_epi64(b[h + j], b[h + 2 + j]);
     }
   }
-  // The 2x2 tiles above transposed in place only the diagonal; swap the
-  // off-diagonal tiles. Done as a second pass to keep the loop above simple.
-  for (int r = 0; r < 8; r += 2) {
-    for (int c = r + 2; c < 8; c += 2) {
-      __m128d t0 = m[r][c / 2];
-      __m128d t1 = m[r + 1][c / 2];
-      m[r][c / 2] = m[c][r / 2];
-      m[r + 1][c / 2] = m[c + 1][r / 2];
-      m[c][r / 2] = t0;
-      m[c + 1][r / 2] = t1;
-    }
-  }
 }
-
-#if defined(VC_SIMD_X86_AVX2_DISPATCH)
-
-/// Transposes a 4x4 block of doubles held in four __m256d registers.
-VC_AVX2_FN inline void Transpose4x4(__m256d* r0, __m256d* r1, __m256d* r2,
-                                    __m256d* r3) {
-  __m256d t0 = _mm256_unpacklo_pd(*r0, *r1);
-  __m256d t1 = _mm256_unpackhi_pd(*r0, *r1);
-  __m256d t2 = _mm256_unpacklo_pd(*r2, *r3);
-  __m256d t3 = _mm256_unpackhi_pd(*r2, *r3);
-  *r0 = _mm256_permute2f128_pd(t0, t2, 0x20);
-  *r1 = _mm256_permute2f128_pd(t1, t3, 0x20);
-  *r2 = _mm256_permute2f128_pd(t0, t2, 0x31);
-  *r3 = _mm256_permute2f128_pd(t1, t3, 0x31);
-}
-
-/// Transposes an 8x8 block of doubles held as 8 rows x 2 __m256d registers
-/// (`m[r][c]` covers columns 4c..4c+3 of row r): transpose the two diagonal
-/// 4x4 tiles in place, swap-and-transpose the off-diagonal pair. Pure data
-/// movement, so it cannot perturb bit-exactness.
-VC_AVX2_FN inline void Transpose8x8(__m256d m[8][2]) {
-  Transpose4x4(&m[0][0], &m[1][0], &m[2][0], &m[3][0]);
-  Transpose4x4(&m[4][1], &m[5][1], &m[6][1], &m[7][1]);
-  __m256d b0 = m[0][1], b1 = m[1][1], b2 = m[2][1], b3 = m[3][1];
-  Transpose4x4(&b0, &b1, &b2, &b3);
-  m[0][1] = m[4][0];
-  m[1][1] = m[5][0];
-  m[2][1] = m[6][0];
-  m[3][1] = m[7][0];
-  Transpose4x4(&m[0][1], &m[1][1], &m[2][1], &m[3][1]);
-  m[4][0] = b0;
-  m[5][0] = b1;
-  m[6][0] = b2;
-  m[7][0] = b3;
-}
-
-#endif  // VC_SIMD_X86_AVX2_DISPATCH
 
 #endif  // VC_SIMD_X86
 

@@ -1,5 +1,6 @@
 #include "codec/transform.h"
 
+#include <bit>
 #include <cmath>
 
 #include "codec/simd.h"
@@ -11,494 +12,417 @@ namespace {
 
 constexpr int kHalf = kBlockSize / 2;
 
-/// Precomputed DCT-II basis, folded by the cosine symmetry
-/// cos((2(N−1−x)+1)uπ/2N) = (−1)ᵘ cos((2x+1)uπ/2N): even-frequency rows
-/// see only the symmetric half-sums of the input, odd rows only the
-/// antisymmetric half-differences. Folding first and multiplying 4×4
-/// sub-matrices halves the multiply count of every 8-point transform.
-struct DctBasis {
-  double even[kHalf][kHalf];  // even[k][x] = c(2k)·cos((2x+1)(2k)π/16)
-  double odd[kHalf][kHalf];   // odd[k][x]  = c(2k+1)·cos((2x+1)(2k+1)π/16)
-  double full[kBlockSize][kBlockSize];  // full[u][x], for the sparse path
-  DctBasis() {
-    for (int u = 0; u < kBlockSize; ++u) {
-      double cu = u == 0 ? std::sqrt(1.0 / kBlockSize)
-                         : std::sqrt(2.0 / kBlockSize);
-      for (int x = 0; x < kBlockSize; ++x) {
-        double value = cu * std::cos((2 * x + 1) * u * kPi / (2 * kBlockSize));
-        full[u][x] = value;
-        if (x < kHalf) {
-          if (u % 2 == 0) {
-            even[u / 2][x] = value;
-          } else {
-            odd[u / 2][x] = value;
-          }
-        }
-      }
-    }
-  }
+/// The 8-point core transform matrix, kCoef[k][n] for frequency k and sample
+/// n: 64·√8 times the orthonormal DCT-II basis, rounded so that every row
+/// keeps the cosine symmetry kCoef[k][7−n] = (−1)ᵏ·kCoef[k][n] and a squared
+/// norm within 0.1% of 2¹⁵. The symmetry is what the even/odd partial
+/// butterflies below exploit.
+constexpr int16_t kCoef[kBlockSize][kBlockSize] = {
+    {64, 64, 64, 64, 64, 64, 64, 64},
+    {89, 75, 50, 18, -18, -50, -75, -89},
+    {83, 36, -36, -83, -83, -36, 36, 83},
+    {75, -18, -89, -50, 50, 89, 18, -75},
+    {64, -64, -64, 64, 64, -64, -64, 64},
+    {50, -89, 18, 75, -75, -18, 89, -50},
+    {36, -83, 83, -36, -36, 83, -83, 36},
+    {18, -50, 75, -89, 89, -75, 50, -18},
 };
 
-const DctBasis& Basis() {
-  static const DctBasis basis;
-  return basis;
+// Shift schedule. The forward stages keep residual × 64√8 × 64√8 / 2¹¹ =
+// 16× the orthonormal scale; the inverse stages remove the same gain.
+// Every stage sums at most 8 products of an int16 by a coefficient whose
+// row L1 norm is ≤ 512, so |sum| ≤ 512·32768 = 2²⁴ and int32 never
+// overflows, whatever int16 input (including corrupt dequantized levels)
+// arrives.
+constexpr int kForwardShift1 = 2;
+constexpr int kForwardShift2 = 9;
+constexpr int kInverseShift1 = 7;
+constexpr int kInverseShift2 = 12;
+
+inline int16_t Sat16(int32_t v) {
+  return static_cast<int16_t>(Clamp<int32_t>(v, -32768, 32767));
 }
 
-/// 8-point DCT-II of `in` into `out` (natural frequency order).
-inline void ForwardDct8(const double* in, double* out, const DctBasis& b) {
-  double e[kHalf], o[kHalf];
+/// One forward 8-point partial butterfly: dst[k·dst_stride] =
+/// sat16((Σₙ kCoef[k][n]·src[n] + round) >> shift).
+inline void ForwardButterfly8(const int16_t* src, int shift, int16_t* dst,
+                              int dst_stride) {
+  const int32_t round = 1 << (shift - 1);
+  int32_t e[kHalf], o[kHalf];
   for (int i = 0; i < kHalf; ++i) {
-    e[i] = in[i] + in[kBlockSize - 1 - i];
-    o[i] = in[i] - in[kBlockSize - 1 - i];
+    e[i] = src[i] + src[kBlockSize - 1 - i];
+    o[i] = src[i] - src[kBlockSize - 1 - i];
   }
-  for (int k = 0; k < kHalf; ++k) {
-    double sum_e = 0, sum_o = 0;
-    for (int i = 0; i < kHalf; ++i) {
-      sum_e += e[i] * b.even[k][i];
-      sum_o += o[i] * b.odd[k][i];
-    }
-    out[2 * k] = sum_e;
-    out[2 * k + 1] = sum_o;
+  const int32_t ee0 = e[0] + e[3], eo0 = e[0] - e[3];
+  const int32_t ee1 = e[1] + e[2], eo1 = e[1] - e[2];
+  int32_t sum[kBlockSize];
+  sum[0] = 64 * ee0 + 64 * ee1;
+  sum[4] = 64 * ee0 - 64 * ee1;
+  sum[2] = 83 * eo0 + 36 * eo1;
+  sum[6] = 36 * eo0 - 83 * eo1;
+  for (int k = 1; k < kBlockSize; k += 2) {
+    sum[k] = kCoef[k][0] * o[0] + kCoef[k][1] * o[1] + kCoef[k][2] * o[2] +
+             kCoef[k][3] * o[3];
+  }
+  for (int k = 0; k < kBlockSize; ++k) {
+    dst[k * dst_stride] = Sat16((sum[k] + round) >> shift);
   }
 }
 
-/// 8-point inverse of ForwardDct8.
-inline void InverseDct8(const double* in, double* out, const DctBasis& b) {
-  for (int i = 0; i < kHalf; ++i) {
-    double e = 0, o = 0;
-    for (int k = 0; k < kHalf; ++k) {
-      e += in[2 * k] * b.even[k][i];
-      o += in[2 * k + 1] * b.odd[k][i];
-    }
-    out[i] = e + o;
-    out[kBlockSize - 1 - i] = e - o;
+/// One inverse 8-point partial butterfly: dst[n] =
+/// sat16((Σₖ kCoef[k][n]·src[k·src_stride] + round) >> shift).
+inline void InverseButterfly8(const int16_t* src, int src_stride, int shift,
+                              int16_t* dst) {
+  const int32_t round = 1 << (shift - 1);
+  int32_t s[kBlockSize];
+  for (int k = 0; k < kBlockSize; ++k) s[k] = src[k * src_stride];
+  const int32_t ee0 = 64 * s[0] + 64 * s[4], ee1 = 64 * s[0] - 64 * s[4];
+  const int32_t eo0 = 83 * s[2] + 36 * s[6], eo1 = 36 * s[2] - 83 * s[6];
+  const int32_t e[kHalf] = {ee0 + eo0, ee1 + eo1, ee1 - eo1, ee0 - eo0};
+  for (int n = 0; n < kHalf; ++n) {
+    const int32_t o = kCoef[1][n] * s[1] + kCoef[3][n] * s[3] +
+                      kCoef[5][n] * s[5] + kCoef[7][n] * s[7];
+    dst[n] = Sat16((e[n] + o + round) >> shift);
+    dst[kBlockSize - 1 - n] = Sat16((e[n] - o + round) >> shift);
   }
 }
 
 void ForwardDctScalar(const ResidualBlock& input, CoeffBlock* output) {
-  const auto& b = Basis();
-  // Separable: rows, then columns of the (transposed) row results.
-  double row[kBlockSize], freq[kBlockSize];
-  double temp[kBlockSize][kBlockSize];  // temp[u][y]
+  int16_t temp[kBlockPixels];  // temp[u·8 + y]: row transform of row y
   for (int y = 0; y < kBlockSize; ++y) {
-    for (int x = 0; x < kBlockSize; ++x) row[x] = input[y * kBlockSize + x];
-    ForwardDct8(row, freq, b);
-    for (int u = 0; u < kBlockSize; ++u) temp[u][y] = freq[u];
+    ForwardButterfly8(&input[y * kBlockSize], kForwardShift1, temp + y,
+                      kBlockSize);
   }
   for (int u = 0; u < kBlockSize; ++u) {
-    ForwardDct8(temp[u], freq, b);
-    for (int v = 0; v < kBlockSize; ++v) {
-      (*output)[v * kBlockSize + u] = freq[v];
-    }
+    ForwardButterfly8(temp + u * kBlockSize, kForwardShift2, output->data() + u,
+                      kBlockSize);
   }
 }
 
 void InverseDctScalar(const CoeffBlock& input, ResidualBlock* output) {
-  const auto& b = Basis();
-  double spatial[kBlockSize];
-  double temp[kBlockSize][kBlockSize];  // temp[x][v]
-  for (int v = 0; v < kBlockSize; ++v) {
-    InverseDct8(&input[v * kBlockSize], spatial, b);
-    for (int x = 0; x < kBlockSize; ++x) temp[x][v] = spatial[x];
+  int16_t temp[kBlockPixels];  // temp[y·8 + u]: column transform of column u
+  for (int u = 0; u < kBlockSize; ++u) {
+    int16_t column[kBlockSize];
+    InverseButterfly8(input.data() + u, kBlockSize, kInverseShift1, column);
+    for (int y = 0; y < kBlockSize; ++y) temp[y * kBlockSize + u] = column[y];
   }
-  for (int x = 0; x < kBlockSize; ++x) {
-    InverseDct8(temp[x], spatial, b);
-    for (int y = 0; y < kBlockSize; ++y) {
-      // Round half away from zero (as std::lround), without the libm call:
-      // adding ±0.5 then truncating matches lround for every magnitude a
-      // dequantized coefficient sum can reach.
-      double rounded = spatial[y] + std::copysign(0.5, spatial[y]);
-      (*output)[y * kBlockSize + x] =
-          static_cast<int16_t>(Clamp(rounded, -32768.0, 32767.0));
-    }
+  for (int y = 0; y < kBlockSize; ++y) {
+    InverseButterfly8(temp + y * kBlockSize, 1, kInverseShift2,
+                      &(*output)[y * kBlockSize]);
   }
 }
 
-void InverseDctSparseScalar(const CoeffBlock& input, int nonzero_count,
-                            ResidualBlock* output) {
-  const auto& b = Basis();
-  double acc[kBlockPixels] = {};
-  int remaining = nonzero_count;
-  for (int v = 0; v < kBlockSize && remaining > 0; ++v) {
-    for (int u = 0; u < kBlockSize && remaining > 0; ++u) {
-      const double coeff = input[v * kBlockSize + u];
-      if (coeff == 0.0) continue;
-      --remaining;
-      // One separable outer product: coeff · B[v][y] · B[u][x].
-      const double* col = b.full[v];
-      const double* row = b.full[u];
-      for (int y = 0; y < kBlockSize; ++y) {
-        const double weight = coeff * col[y];
-        double* out_row = acc + y * kBlockSize;
-        for (int x = 0; x < kBlockSize; ++x) out_row[x] += weight * row[x];
-      }
-    }
-  }
-  for (int i = 0; i < kBlockPixels; ++i) {
-    double rounded = acc[i] + std::copysign(0.5, acc[i]);
-    (*output)[i] = static_cast<int16_t>(Clamp(rounded, -32768.0, 32767.0));
-  }
+// Quantizer tables (HEVC): f[qp%6]·g[qp%6] ≈ 2²⁰ and f[4] = 2¹⁴, so QP 4
+// is a unit step in orthonormal units; each further 6 QP doubles the step
+// through the qp/6 shift. kQuantShift = 14 (precision of f) + 4 (the
+// transform's 16× gain).
+constexpr int32_t kQuantScale[6] = {26214, 23302, 20560, 18396, 16384, 14564};
+constexpr int32_t kDequantScale[6] = {40, 45, 51, 57, 64, 72};
+constexpr int kQuantShift = 18;
+
+struct QuantParams {
+  int32_t scale;  // f[qp%6]
+  int shift;      // kQuantShift + qp/6, ≤ 26
+  int32_t round;  // ⌊0.4·2^shift⌋: the dead zone
+};
+
+constexpr QuantParams QuantParamsFor(int qp) {
+  qp = Clamp(qp, 0, kMaxQp);
+  const int shift = kQuantShift + qp / 6;
+  return QuantParams{kQuantScale[qp % 6], shift,
+                     static_cast<int32_t>((int64_t{2} << shift) / 5)};
 }
 
-void QuantizeScalar(const CoeffBlock& coeffs, double inv_qstep,
-                    double dead_zone, LevelBlock* levels) {
+/// ZeroLevelLimit per QP: the largest |c| with |c|·f + round < 2^shift.
+constexpr std::array<int, kMaxQp + 1> kZeroLevelLimit = [] {
+  std::array<int, kMaxQp + 1> limits{};
+  for (int qp = 0; qp <= kMaxQp; ++qp) {
+    const QuantParams p = QuantParamsFor(qp);
+    limits[qp] = ((int32_t{1} << p.shift) - p.round - 1) / p.scale;
+  }
+  return limits;
+}();
+
+/// g[qp%6] << qp/6 ≤ 57·2⁸ = 14592: fits an int16 multiplier lane.
+int32_t DequantScaleFor(int qp) {
+  qp = Clamp(qp, 0, kMaxQp);
+  return kDequantScale[qp % 6] << (qp / 6);
+}
+
+// Quantize: |c| ≤ 2¹⁵ and f < 2¹⁵, so |c|·f + round < 2³⁰ + 2²⁵ fits int32.
+int QuantizeScalar(const CoeffBlock& coeffs, const QuantParams& p,
+                   LevelBlock* levels) {
+  int nonzero = 0;
   for (int i = 0; i < kBlockPixels; ++i) {
-    double scaled = coeffs[i] * inv_qstep;
-    auto magnitude = static_cast<int32_t>(std::abs(scaled) + dead_zone);
-    (*levels)[i] = scaled < 0 ? -magnitude : magnitude;
+    const int32_t c = coeffs[i];
+    const int32_t magnitude = ((c < 0 ? -c : c) * p.scale + p.round) >> p.shift;
+    (*levels)[i] = c < 0 ? -magnitude : magnitude;
+    nonzero += magnitude != 0;
+  }
+  return nonzero;
+}
+
+// Dequantize: the level saturates to int16 first, so |l·scale + 2| ≤
+// 2¹⁵·14592 + 2 < 2³¹.
+void DequantizeScalar(const LevelBlock& levels, int32_t scale,
+                      CoeffBlock* coeffs) {
+  for (int i = 0; i < kBlockPixels; ++i) {
+    const int32_t level = Clamp<int32_t>(levels[i], -32768, 32767);
+    (*coeffs)[i] = Sat16((level * scale + 2) >> 2);
   }
 }
 
 #if defined(VC_SIMD_X86)
 
-// The vector DCT works "column-parallel": instead of an 8-point butterfly on
-// one row at a time, each stage runs the butterfly on all 8 rows at once with
-// the row index spread across vector lanes. Two 8×8 transposes put the data
-// in lane order for each stage. Per lane, the adds/multiplies happen in
-// exactly the order ForwardDct8/InverseDct8 perform them (accumulators start
-// at zero and fold terms in ascending i/k, no FMA contraction), so every
-// output element is bit-identical to the scalar path — which the tests and
-// the encoder/decoder bit-exactness contract rely on.
+// The vector transform works "column-parallel": each stage runs the 8-point
+// butterfly on all 8 columns at once, one column per int16 lane, and
+// _mm_madd_epi16 forms two products and their sum per int32 lane. Two 8×8
+// transposes put the data in lane order for each stage. The arithmetic is
+// exact integer arithmetic with the same rounding and saturation as the
+// scalar butterflies (packs_epi32 saturates exactly like Sat16), so every
+// tier is bit-identical to the scalar path. The loops are fully unrolled so
+// the working set stays in registers and every multiplier pair is a
+// compile-time constant.
 
-/// Loads a row-major int16 block into 8 rows × 4 __m128d registers.
-inline void LoadResidualRows(const ResidualBlock& input, __m128d m[8][4]) {
-  for (int y = 0; y < kBlockSize; ++y) {
-    __m128i v16 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(&input[y * kBlockSize]));
-    // Sign-extend int16 → int32 without SSE4.1: duplicate then arithmetic
-    // shift right.
-    __m128i lo32 = _mm_srai_epi32(_mm_unpacklo_epi16(v16, v16), 16);
-    __m128i hi32 = _mm_srai_epi32(_mm_unpackhi_epi16(v16, v16), 16);
-    m[y][0] = _mm_cvtepi32_pd(lo32);
-    m[y][1] = _mm_cvtepi32_pd(_mm_unpackhi_epi64(lo32, lo32));
-    m[y][2] = _mm_cvtepi32_pd(hi32);
-    m[y][3] = _mm_cvtepi32_pd(_mm_unpackhi_epi64(hi32, hi32));
-  }
+/// A madd multiplier pair: int32 lane = (a in the low word, b in the high
+/// word), so madd(unpack(x, y), Pair(a, b)) = a·x + b·y per lane.
+inline __m128i Pair(int a, int b) {
+  return _mm_set1_epi32(static_cast<int32_t>(
+      static_cast<uint16_t>(a) | (uint32_t{static_cast<uint16_t>(b)} << 16)));
 }
 
-/// Forward butterfly stage on 8 lanes-worth of 8-point inputs: `in[i]` holds
-/// sample i across lanes, `out[u]` receives frequency u across lanes.
-inline void ForwardStage(const __m128d in[8][4], __m128d out[8][4],
-                         const DctBasis& b) {
-  __m128d e[kHalf][4], o[kHalf][4];
+/// Forward stage: out[k] = sat16((Σᵢ kCoef[k][i]·in[i] + round) >> kShift),
+/// lane-wise. Inputs are paired (i, 7−i) so no int16 sum can overflow.
+template <int kShift>
+inline void ForwardStage(const __m128i in[8], __m128i out[8]) {
+  const __m128i round = _mm_set1_epi32(1 << (kShift - 1));
+  __m128i lo[kHalf], hi[kHalf];
+#pragma GCC unroll 8
   for (int i = 0; i < kHalf; ++i) {
-    for (int j = 0; j < 4; ++j) {
-      e[i][j] = _mm_add_pd(in[i][j], in[kBlockSize - 1 - i][j]);
-      o[i][j] = _mm_sub_pd(in[i][j], in[kBlockSize - 1 - i][j]);
-    }
+    lo[i] = _mm_unpacklo_epi16(in[i], in[kBlockSize - 1 - i]);
+    hi[i] = _mm_unpackhi_epi16(in[i], in[kBlockSize - 1 - i]);
   }
-  for (int k = 0; k < kHalf; ++k) {
-    for (int j = 0; j < 4; ++j) {
-      __m128d se = _mm_setzero_pd();
-      __m128d so = _mm_setzero_pd();
-      for (int i = 0; i < kHalf; ++i) {
-        se = _mm_add_pd(se, _mm_mul_pd(e[i][j], _mm_set1_pd(b.even[k][i])));
-        so = _mm_add_pd(so, _mm_mul_pd(o[i][j], _mm_set1_pd(b.odd[k][i])));
-      }
-      out[2 * k][j] = se;
-      out[2 * k + 1][j] = so;
+#pragma GCC unroll 8
+  for (int k = 0; k < kBlockSize; ++k) {
+    __m128i acc_lo = round, acc_hi = round;
+#pragma GCC unroll 8
+    for (int i = 0; i < kHalf; ++i) {
+      const __m128i coef = Pair(kCoef[k][i], kCoef[k][kBlockSize - 1 - i]);
+      acc_lo = _mm_add_epi32(acc_lo, _mm_madd_epi16(lo[i], coef));
+      acc_hi = _mm_add_epi32(acc_hi, _mm_madd_epi16(hi[i], coef));
     }
+    out[k] = _mm_packs_epi32(_mm_srai_epi32(acc_lo, kShift),
+                             _mm_srai_epi32(acc_hi, kShift));
   }
 }
 
-/// Inverse butterfly stage, mirroring InverseDct8 lane-wise.
-inline void InverseStage(const __m128d in[8][4], __m128d out[8][4],
-                         const DctBasis& b) {
-  for (int i = 0; i < kHalf; ++i) {
-    for (int j = 0; j < 4; ++j) {
-      __m128d e = _mm_setzero_pd();
-      __m128d o = _mm_setzero_pd();
-      for (int k = 0; k < kHalf; ++k) {
-        e = _mm_add_pd(e, _mm_mul_pd(in[2 * k][j], _mm_set1_pd(b.even[k][i])));
-        o = _mm_add_pd(o,
-                       _mm_mul_pd(in[2 * k + 1][j], _mm_set1_pd(b.odd[k][i])));
-      }
-      out[i][j] = _mm_add_pd(e, o);
-      out[kBlockSize - 1 - i][j] = _mm_sub_pd(e, o);
+/// Inverse stage: out[n] = sat16((Σₖ kCoef[k][n]·in[k] + round) >> kShift),
+/// lane-wise, as even part ± odd part for the symmetric pair (n, 7−n).
+template <int kShift>
+inline void InverseStage(const __m128i in[8], __m128i out[8]) {
+  const __m128i round = _mm_set1_epi32(1 << (kShift - 1));
+  // Input pairs: (0, 4) and (2, 6) feed the even part, (1, 3) and (5, 7)
+  // the odd part.
+  constexpr int kPairs[4][2] = {{0, 4}, {2, 6}, {1, 3}, {5, 7}};
+  __m128i lo[4], hi[4];
+#pragma GCC unroll 8
+  for (int p = 0; p < 4; ++p) {
+    lo[p] = _mm_unpacklo_epi16(in[kPairs[p][0]], in[kPairs[p][1]]);
+    hi[p] = _mm_unpackhi_epi16(in[kPairs[p][0]], in[kPairs[p][1]]);
+  }
+#pragma GCC unroll 8
+  for (int n = 0; n < kHalf; ++n) {
+    __m128i coef[4];
+#pragma GCC unroll 8
+    for (int p = 0; p < 4; ++p) {
+      coef[p] = Pair(kCoef[kPairs[p][0]][n], kCoef[kPairs[p][1]][n]);
     }
+    const __m128i e_lo = _mm_add_epi32(
+        _mm_add_epi32(_mm_madd_epi16(lo[0], coef[0]),
+                      _mm_madd_epi16(lo[1], coef[1])),
+        round);
+    const __m128i e_hi = _mm_add_epi32(
+        _mm_add_epi32(_mm_madd_epi16(hi[0], coef[0]),
+                      _mm_madd_epi16(hi[1], coef[1])),
+        round);
+    const __m128i o_lo = _mm_add_epi32(_mm_madd_epi16(lo[2], coef[2]),
+                                       _mm_madd_epi16(lo[3], coef[3]));
+    const __m128i o_hi = _mm_add_epi32(_mm_madd_epi16(hi[2], coef[2]),
+                                       _mm_madd_epi16(hi[3], coef[3]));
+    out[n] = _mm_packs_epi32(_mm_srai_epi32(_mm_add_epi32(e_lo, o_lo), kShift),
+                             _mm_srai_epi32(_mm_add_epi32(e_hi, o_hi), kShift));
+    out[kBlockSize - 1 - n] =
+        _mm_packs_epi32(_mm_srai_epi32(_mm_sub_epi32(e_lo, o_lo), kShift),
+                        _mm_srai_epi32(_mm_sub_epi32(e_hi, o_hi), kShift));
   }
 }
 
-/// Rounds half-away-from-zero, clamps to int16 range, and stores one
-/// row-major block row. Matches the scalar `copysign(0.5)` + Clamp + cast
-/// sequence bit for bit (min/max_pd compose to the same ternary, cvttpd
-/// truncates like the cast).
-inline void StoreRoundedRow(const __m128d row[4], int16_t* out) {
-  const __m128d sign_mask = _mm_set1_pd(-0.0);
-  const __m128d half = _mm_set1_pd(0.5);
-  const __m128d lo = _mm_set1_pd(-32768.0);
-  const __m128d hi = _mm_set1_pd(32767.0);
-  __m128i quads[4];
-  for (int j = 0; j < 4; ++j) {
-    __m128d v = row[j];
-    __m128d signed_half = _mm_or_pd(_mm_and_pd(v, sign_mask), half);
-    __m128d rounded = _mm_add_pd(v, signed_half);
-    __m128d clamped = _mm_max_pd(_mm_min_pd(rounded, hi), lo);
-    quads[j] = _mm_cvttpd_epi32(clamped);
+inline void LoadRows(const int16_t* block, __m128i m[8]) {
+#pragma GCC unroll 8
+  for (int r = 0; r < kBlockSize; ++r) {
+    m[r] = _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(block + r * kBlockSize));
   }
-  __m128i lo32 = _mm_unpacklo_epi64(quads[0], quads[1]);
-  __m128i hi32 = _mm_unpacklo_epi64(quads[2], quads[3]);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
-                   _mm_packs_epi32(lo32, hi32));
+}
+
+inline void StoreRows(const __m128i m[8], int16_t* block) {
+#pragma GCC unroll 8
+  for (int r = 0; r < kBlockSize; ++r) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(block + r * kBlockSize), m[r]);
+  }
 }
 
 void ForwardDctSse2(const ResidualBlock& input, CoeffBlock* output) {
-  const auto& b = Basis();
-  __m128d m[8][4], t[8][4];
-  LoadResidualRows(input, m);
-  simd::Transpose8x8(m);      // m[x] spans rows y across lanes
-  ForwardStage(m, t, b);      // t[u][y lanes] == scalar temp[u][y]
-  simd::Transpose8x8(t);      // t[y] spans columns u across lanes
-  ForwardStage(t, m, b);      // m[v][u lanes] == output row v
-  for (int v = 0; v < kBlockSize; ++v) {
-    for (int j = 0; j < 4; ++j) {
-      _mm_storeu_pd(&(*output)[v * kBlockSize + 2 * j], m[v][j]);
-    }
-  }
+  __m128i m[8], t[8];
+  LoadRows(input.data(), m);
+  simd::Transpose8x8(m);               // m[x]: sample x of every row y
+  ForwardStage<kForwardShift1>(m, t);  // t[u]: row frequency u, lanes y
+  simd::Transpose8x8(t);               // t[y]: lanes u
+  ForwardStage<kForwardShift2>(t, m);  // m[v]: output row v
+  StoreRows(m, output->data());
 }
 
 void InverseDctSse2(const CoeffBlock& input, ResidualBlock* output) {
-  const auto& b = Basis();
-  __m128d m[8][4], t[8][4];
-  for (int v = 0; v < kBlockSize; ++v) {
-    for (int j = 0; j < 4; ++j) {
-      m[v][j] = _mm_loadu_pd(&input[v * kBlockSize + 2 * j]);
-    }
-  }
-  simd::Transpose8x8(m);      // m[u] spans rows v across lanes
-  InverseStage(m, t, b);      // t[x][v lanes] == scalar temp[x][v]
-  simd::Transpose8x8(t);      // t[v] spans columns x across lanes
-  InverseStage(t, m, b);      // m[y][x lanes] == output row y
-  for (int y = 0; y < kBlockSize; ++y) {
-    StoreRoundedRow(m[y], &(*output)[y * kBlockSize]);
-  }
+  __m128i m[8], t[8];
+  LoadRows(input.data(), m);           // m[v]: coefficient row v, lanes u
+  InverseStage<kInverseShift1>(m, t);  // t[y]: column transform, lanes u
+  simd::Transpose8x8(t);               // t[u]: lanes y
+  InverseStage<kInverseShift2>(t, m);  // m[x]: lanes y
+  simd::Transpose8x8(m);               // m[y]: output row y
+  StoreRows(m, output->data());
 }
 
-void QuantizeSse2(const CoeffBlock& coeffs, double inv_qstep, double dead_zone,
-                  LevelBlock* levels) {
-  const __m128d inv = _mm_set1_pd(inv_qstep);
-  const __m128d dz = _mm_set1_pd(dead_zone);
-  const __m128d abs_mask =
-      _mm_castsi128_pd(_mm_srli_epi64(_mm_set1_epi32(-1), 1));
-  const __m128d zero = _mm_setzero_pd();
-  for (int i = 0; i < kBlockPixels; i += 4) {
-    __m128d s0 = _mm_mul_pd(_mm_loadu_pd(&coeffs[i]), inv);
-    __m128d s1 = _mm_mul_pd(_mm_loadu_pd(&coeffs[i + 2]), inv);
-    __m128d m0 = _mm_add_pd(_mm_and_pd(s0, abs_mask), dz);
-    __m128d m1 = _mm_add_pd(_mm_and_pd(s1, abs_mask), dz);
-    __m128i magnitude = _mm_unpacklo_epi64(_mm_cvttpd_epi32(m0),
-                                           _mm_cvttpd_epi32(m1));
-    // Compact the two 64-bit `scaled < 0` masks into four 32-bit lanes, then
-    // negate the flagged lanes via (x ^ m) - m.
-    __m128i neg = _mm_castps_si128(
-        _mm_shuffle_ps(_mm_castpd_ps(_mm_cmplt_pd(s0, zero)),
-                       _mm_castpd_ps(_mm_cmplt_pd(s1, zero)),
-                       _MM_SHUFFLE(2, 0, 2, 0)));
-    __m128i level = _mm_sub_epi32(_mm_xor_si128(magnitude, neg), neg);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(&(*levels)[i]), level);
+int QuantizeSse2(const CoeffBlock& coeffs, const QuantParams& p,
+                 LevelBlock* levels) {
+  // |c| as uint16 (|−32768| = 0x8000 is still exact unsigned), times
+  // f < 2¹⁵ as a full 32-bit product from the low and high halves.
+  const __m128i scale = _mm_set1_epi16(static_cast<int16_t>(p.scale));
+  const __m128i round = _mm_set1_epi32(p.round);
+  const __m128i shift = _mm_cvtsi32_si128(p.shift);
+  const __m128i zero = _mm_setzero_si128();
+  int zero_bits = 0;
+  for (int i = 0; i < kBlockPixels; i += 8) {
+    const __m128i c =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(&coeffs[i]));
+    const __m128i sign = _mm_srai_epi16(c, 15);
+    const __m128i abs = _mm_sub_epi16(_mm_xor_si128(c, sign), sign);
+    const __m128i prod_lo = _mm_mullo_epi16(abs, scale);
+    const __m128i prod_hi = _mm_mulhi_epu16(abs, scale);
+    const __m128i mag0 = _mm_srl_epi32(
+        _mm_add_epi32(_mm_unpacklo_epi16(prod_lo, prod_hi), round), shift);
+    const __m128i mag1 = _mm_srl_epi32(
+        _mm_add_epi32(_mm_unpackhi_epi16(prod_lo, prod_hi), round), shift);
+    const __m128i sign0 = _mm_unpacklo_epi16(sign, sign);
+    const __m128i sign1 = _mm_unpackhi_epi16(sign, sign);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(&(*levels)[i]),
+                     _mm_sub_epi32(_mm_xor_si128(mag0, sign0), sign0));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(&(*levels)[i + 4]),
+                     _mm_sub_epi32(_mm_xor_si128(mag1, sign1), sign1));
+    // Magnitudes are < 2¹⁵ (|c|·f >> 18 with f < 2¹⁵), so the pack is exact.
+    const __m128i is_zero = _mm_cmpeq_epi16(_mm_packs_epi32(mag0, mag1), zero);
+    zero_bits +=
+        std::popcount(static_cast<unsigned>(_mm_movemask_epi8(is_zero)));
   }
+  return kBlockPixels - zero_bits / 2;
 }
 
-void DequantizeSse2(const LevelBlock& levels, double qstep,
+void DequantizeSse2(const LevelBlock& levels, int32_t scale,
                     CoeffBlock* coeffs) {
-  const __m128d step = _mm_set1_pd(qstep);
-  for (int i = 0; i < kBlockPixels; i += 4) {
-    __m128i quad =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(&levels[i]));
-    __m128d lo = _mm_cvtepi32_pd(quad);
-    __m128d hi = _mm_cvtepi32_pd(_mm_unpackhi_epi64(quad, quad));
-    _mm_storeu_pd(&(*coeffs)[i], _mm_mul_pd(lo, step));
-    _mm_storeu_pd(&(*coeffs)[i + 2], _mm_mul_pd(hi, step));
+  // packs_epi32 saturates levels to int16 exactly as the scalar clamp; the
+  // madd pair (scale, 2) against (level, 1) adds the rounding term.
+  const __m128i coef = Pair(scale, 2);
+  const __m128i one = _mm_set1_epi16(1);
+  for (int i = 0; i < kBlockPixels; i += 8) {
+    const __m128i level = _mm_packs_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(&levels[i])),
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(&levels[i + 4])));
+    const __m128i lo =
+        _mm_srai_epi32(_mm_madd_epi16(_mm_unpacklo_epi16(level, one), coef), 2);
+    const __m128i hi =
+        _mm_srai_epi32(_mm_madd_epi16(_mm_unpackhi_epi16(level, one), coef), 2);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(&(*coeffs)[i]),
+                     _mm_packs_epi32(lo, hi));
   }
 }
 
 #if defined(VC_SIMD_X86_AVX2_DISPATCH)
 
-// AVX2 variants of the same column-parallel scheme with 4 lanes per register:
-// the 8×8 double working set is 8 rows × 2 __m256d, i.e. exactly the 16 ymm
-// registers — no spills between stages, which is where the 2-lane SSE2
-// version loses time. Per lane the arithmetic order is unchanged (no FMA
-// contraction — the `target` attribute enables AVX2 only, not FMA;
-// accumulators fold terms in ascending i/k), so every output stays
-// bit-identical to the scalar and SSE2 paths.
+// AVX2 variants of the forward transform and the quantizer: the same
+// stages with both 4-lane halves of a row in one ymm register, so each madd
+// covers all 8 columns. Same exact integer arithmetic, so still
+// bit-identical.
 
-VC_AVX2_FN inline void LoadResidualRowsAvx2(const ResidualBlock& input,
-                                            __m256d m[8][2]) {
-  for (int y = 0; y < kBlockSize; ++y) {
-    __m128i v16 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(&input[y * kBlockSize]));
-    __m256i v32 = _mm256_cvtepi16_epi32(v16);
-    m[y][0] = _mm256_cvtepi32_pd(_mm256_castsi256_si128(v32));
-    m[y][1] = _mm256_cvtepi32_pd(_mm256_extracti128_si256(v32, 1));
-  }
+/// Interleaves rows a and b for madd: low half columns 0-3, high half 4-7.
+VC_AVX2_FN inline __m256i PairRows(__m128i a, __m128i b) {
+  return _mm256_inserti128_si256(
+      _mm256_castsi128_si256(_mm_unpacklo_epi16(a, b)),
+      _mm_unpackhi_epi16(a, b), 1);
 }
 
-VC_AVX2_FN inline void ForwardStageAvx2(const __m256d in[8][2],
-                                        __m256d out[8][2],
-                                        const DctBasis& b) {
-  __m256d e[kHalf][2], o[kHalf][2];
+/// Shifts 8 int32 sums right and saturates them back to one int16 row.
+template <int kShift>
+VC_AVX2_FN inline __m128i NarrowRow(__m256i acc) {
+  acc = _mm256_srai_epi32(acc, kShift);
+  return _mm_packs_epi32(_mm256_castsi256_si128(acc),
+                         _mm256_extracti128_si256(acc, 1));
+}
+
+template <int kShift>
+VC_AVX2_FN inline void ForwardStageAvx2(const __m128i in[8], __m128i out[8]) {
+  const __m256i round = _mm256_set1_epi32(1 << (kShift - 1));
+  __m256i pairs[kHalf];
+#pragma GCC unroll 8
   for (int i = 0; i < kHalf; ++i) {
-    for (int j = 0; j < 2; ++j) {
-      e[i][j] = _mm256_add_pd(in[i][j], in[kBlockSize - 1 - i][j]);
-      o[i][j] = _mm256_sub_pd(in[i][j], in[kBlockSize - 1 - i][j]);
-    }
+    pairs[i] = PairRows(in[i], in[kBlockSize - 1 - i]);
   }
-  for (int k = 0; k < kHalf; ++k) {
-    for (int j = 0; j < 2; ++j) {
-      __m256d se = _mm256_setzero_pd();
-      __m256d so = _mm256_setzero_pd();
-      for (int i = 0; i < kHalf; ++i) {
-        se = _mm256_add_pd(
-            se, _mm256_mul_pd(e[i][j], _mm256_set1_pd(b.even[k][i])));
-        so = _mm256_add_pd(
-            so, _mm256_mul_pd(o[i][j], _mm256_set1_pd(b.odd[k][i])));
-      }
-      out[2 * k][j] = se;
-      out[2 * k + 1][j] = so;
+#pragma GCC unroll 8
+  for (int k = 0; k < kBlockSize; ++k) {
+    __m256i acc = round;
+#pragma GCC unroll 8
+    for (int i = 0; i < kHalf; ++i) {
+      const __m256i coef = _mm256_broadcastsi128_si256(
+          Pair(kCoef[k][i], kCoef[k][kBlockSize - 1 - i]));
+      acc = _mm256_add_epi32(acc, _mm256_madd_epi16(pairs[i], coef));
     }
+    out[k] = NarrowRow<kShift>(acc);
   }
 }
 
-VC_AVX2_FN inline void InverseStageAvx2(const __m256d in[8][2],
-                                        __m256d out[8][2],
-                                        const DctBasis& b) {
-  for (int i = 0; i < kHalf; ++i) {
-    for (int j = 0; j < 2; ++j) {
-      __m256d e = _mm256_setzero_pd();
-      __m256d o = _mm256_setzero_pd();
-      for (int k = 0; k < kHalf; ++k) {
-        e = _mm256_add_pd(
-            e, _mm256_mul_pd(in[2 * k][j], _mm256_set1_pd(b.even[k][i])));
-        o = _mm256_add_pd(
-            o, _mm256_mul_pd(in[2 * k + 1][j], _mm256_set1_pd(b.odd[k][i])));
-      }
-      out[i][j] = _mm256_add_pd(e, o);
-      out[kBlockSize - 1 - i][j] = _mm256_sub_pd(e, o);
-    }
-  }
-}
-
-VC_AVX2_FN inline void StoreRoundedRowAvx2(const __m256d row[2],
-                                           int16_t* out) {
-  const __m256d sign_mask = _mm256_set1_pd(-0.0);
-  const __m256d half = _mm256_set1_pd(0.5);
-  const __m256d lo = _mm256_set1_pd(-32768.0);
-  const __m256d hi = _mm256_set1_pd(32767.0);
-  __m128i quads[2];
-  for (int j = 0; j < 2; ++j) {
-    __m256d v = row[j];
-    __m256d signed_half = _mm256_or_pd(_mm256_and_pd(v, sign_mask), half);
-    __m256d rounded = _mm256_add_pd(v, signed_half);
-    __m256d clamped = _mm256_max_pd(_mm256_min_pd(rounded, hi), lo);
-    quads[j] = _mm256_cvttpd_epi32(clamped);
-  }
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(out),
-                   _mm_packs_epi32(quads[0], quads[1]));
-}
-
-VC_AVX2_FN void ForwardDctAvx2(const ResidualBlock& input,
-                               CoeffBlock* output) {
-  const auto& b = Basis();
-  __m256d m[8][2], t[8][2];
-  LoadResidualRowsAvx2(input, m);
+VC_AVX2_FN void ForwardDctAvx2(const ResidualBlock& input, CoeffBlock* output) {
+  __m128i m[8], t[8];
+  LoadRows(input.data(), m);
   simd::Transpose8x8(m);
-  ForwardStageAvx2(m, t, b);
+  ForwardStageAvx2<kForwardShift1>(m, t);
   simd::Transpose8x8(t);
-  ForwardStageAvx2(t, m, b);
-  for (int v = 0; v < kBlockSize; ++v) {
-    for (int j = 0; j < 2; ++j) {
-      _mm256_storeu_pd(&(*output)[v * kBlockSize + 4 * j], m[v][j]);
-    }
-  }
+  ForwardStageAvx2<kForwardShift2>(t, m);
+  StoreRows(m, output->data());
 }
 
-VC_AVX2_FN void InverseDctAvx2(const CoeffBlock& input,
-                               ResidualBlock* output) {
-  const auto& b = Basis();
-  __m256d m[8][2], t[8][2];
-  for (int v = 0; v < kBlockSize; ++v) {
-    for (int j = 0; j < 2; ++j) {
-      m[v][j] = _mm256_loadu_pd(&input[v * kBlockSize + 4 * j]);
-    }
-  }
-  simd::Transpose8x8(m);
-  InverseStageAvx2(m, t, b);
-  simd::Transpose8x8(t);
-  InverseStageAvx2(t, m, b);
-  for (int y = 0; y < kBlockSize; ++y) {
-    StoreRoundedRowAvx2(m[y], &(*output)[y * kBlockSize]);
-  }
-}
-
-VC_AVX2_FN void InverseDctSparseAvx2(const CoeffBlock& input,
-                                     int nonzero_count,
-                                     ResidualBlock* output) {
-  const auto& b = Basis();
-  __m256d acc[kBlockSize][2];
-  for (int y = 0; y < kBlockSize; ++y) {
-    acc[y][0] = _mm256_setzero_pd();
-    acc[y][1] = _mm256_setzero_pd();
-  }
-  int remaining = nonzero_count;
-  for (int v = 0; v < kBlockSize && remaining > 0; ++v) {
-    for (int u = 0; u < kBlockSize && remaining > 0; ++u) {
-      const double coeff = input[v * kBlockSize + u];
-      if (coeff == 0.0) continue;
-      --remaining;
-      const double* col = b.full[v];
-      const __m256d row0 = _mm256_loadu_pd(&b.full[u][0]);
-      const __m256d row1 = _mm256_loadu_pd(&b.full[u][4]);
-      for (int y = 0; y < kBlockSize; ++y) {
-        const __m256d weight = _mm256_set1_pd(coeff * col[y]);
-        acc[y][0] = _mm256_add_pd(acc[y][0], _mm256_mul_pd(weight, row0));
-        acc[y][1] = _mm256_add_pd(acc[y][1], _mm256_mul_pd(weight, row1));
-      }
-    }
-  }
-  for (int y = 0; y < kBlockSize; ++y) {
-    StoreRoundedRowAvx2(acc[y], &(*output)[y * kBlockSize]);
-  }
-}
-
-VC_AVX2_FN void QuantizeAvx2(const CoeffBlock& coeffs, double inv_qstep,
-                             double dead_zone, LevelBlock* levels) {
-  const __m256d inv = _mm256_set1_pd(inv_qstep);
-  const __m256d dz = _mm256_set1_pd(dead_zone);
-  const __m256d abs_mask =
-      _mm256_castsi256_pd(_mm256_srli_epi64(_mm256_set1_epi32(-1), 1));
-  const __m256d zero = _mm256_setzero_pd();
-  for (int i = 0; i < kBlockPixels; i += 4) {
-    __m256d s = _mm256_mul_pd(_mm256_loadu_pd(&coeffs[i]), inv);
-    __m256d m = _mm256_add_pd(_mm256_and_pd(s, abs_mask), dz);
-    __m128i magnitude = _mm256_cvttpd_epi32(m);
-    // Compact the four 64-bit `scaled < 0` masks into four 32-bit lanes,
-    // then negate the flagged lanes via (x ^ m) - m.
-    __m256d cmp = _mm256_cmp_pd(s, zero, _CMP_LT_OQ);
-    __m128i neg = _mm_castps_si128(
-        _mm_shuffle_ps(_mm_castpd_ps(_mm256_castpd256_pd128(cmp)),
-                       _mm_castpd_ps(_mm256_extractf128_pd(cmp, 1)),
-                       _MM_SHUFFLE(2, 0, 2, 0)));
-    __m128i level = _mm_sub_epi32(_mm_xor_si128(magnitude, neg), neg);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(&(*levels)[i]), level);
-  }
-}
-
-VC_AVX2_FN void DequantizeAvx2(const LevelBlock& levels, double qstep,
-                               CoeffBlock* coeffs) {
-  const __m256d step = _mm256_set1_pd(qstep);
+VC_AVX2_FN int QuantizeAvx2(const CoeffBlock& coeffs, const QuantParams& p,
+                            LevelBlock* levels) {
+  const __m256i scale = _mm256_set1_epi32(p.scale);
+  const __m256i round = _mm256_set1_epi32(p.round);
+  const __m128i shift = _mm_cvtsi32_si128(p.shift);
+  const __m256i zero = _mm256_setzero_si256();
+  int zero_lanes = 0;
   for (int i = 0; i < kBlockPixels; i += 8) {
-    __m128i q0 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(&levels[i]));
-    __m128i q1 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(&levels[i + 4]));
-    _mm256_storeu_pd(&(*coeffs)[i],
-                     _mm256_mul_pd(_mm256_cvtepi32_pd(q0), step));
-    _mm256_storeu_pd(&(*coeffs)[i + 4],
-                     _mm256_mul_pd(_mm256_cvtepi32_pd(q1), step));
+    const __m256i c = _mm256_cvtepi16_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(&coeffs[i])));
+    const __m256i magnitude = _mm256_srl_epi32(
+        _mm256_add_epi32(_mm256_mullo_epi32(_mm256_abs_epi32(c), scale),
+                         round),
+        shift);
+    // sign_epi32 negates where c < 0 (and zeroes where c == 0, where the
+    // magnitude is already 0).
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(&(*levels)[i]),
+                        _mm256_sign_epi32(magnitude, c));
+    zero_lanes += std::popcount(static_cast<unsigned>(_mm256_movemask_ps(
+        _mm256_castsi256_ps(_mm256_cmpeq_epi32(magnitude, zero)))));
   }
+  return kBlockPixels - zero_lanes;
 }
 
-/// Whether the tiered transform kernels should take their AVX2 variant.
+/// Whether the tiered kernels should take their AVX2 variant.
 inline bool DispatchAvx2() {
   return simd::ActiveLevel() >= simd::Level::kAvx2;
 }
@@ -528,12 +452,9 @@ void ForwardDct(const ResidualBlock& input, CoeffBlock* output) {
 void InverseDct(const CoeffBlock& input, ResidualBlock* output) {
 #if defined(VC_SIMD_X86)
   if (simd::Enabled()) {
-#if defined(VC_SIMD_X86_AVX2_DISPATCH)
-    if (DispatchAvx2()) {
-      InverseDctAvx2(input, output);
-      return;
-    }
-#endif
+    // No AVX2 tier: the inverse stage's even/odd split already needs only
+    // half the madds of the forward one, and widening it to ymm measured no
+    // faster than SSE2.
     InverseDctSse2(input, output);
     return;
   }
@@ -541,78 +462,35 @@ void InverseDct(const CoeffBlock& input, ResidualBlock* output) {
   InverseDctScalar(input, output);
 }
 
-void InverseDctSparse(const CoeffBlock& input, int nonzero_count,
-                      ResidualBlock* output) {
-  const auto& b = Basis();
-  if (nonzero_count == 1 && input[0] != 0.0) {
-    // DC-only block — the most common sparse case at medium/high QP. The
-    // outer product is a constant fill; the arithmetic below matches the
-    // general loop exactly (same multiply order), so the result is
-    // bit-identical to taking the general path.
-    const double weight = input[0] * b.full[0][0];
-    const double value = weight * b.full[0][0];
-    const double rounded = value + std::copysign(0.5, value);
-    const auto pixel = static_cast<int16_t>(Clamp(rounded, -32768.0, 32767.0));
-    output->fill(pixel);
-    return;
-  }
-  // No SSE2 tier here: a 2-lane version of the outer-product accumulator
-  // measured *slower* than the autovectorized scalar loop (the 32-register
-  // double working set spills), so sparse blocks dispatch straight from
-  // AVX2 (where the accumulators fit in ymm registers) to scalar.
-#if defined(VC_SIMD_X86_AVX2_DISPATCH)
-  if (simd::Enabled() && DispatchAvx2()) {
-    InverseDctSparseAvx2(input, nonzero_count, output);
-    return;
-  }
-#endif
-  InverseDctSparseScalar(input, nonzero_count, output);
-}
-
 double QStepForQp(int qp) {
   qp = Clamp(qp, 0, kMaxQp);
   return 0.625 * std::pow(2.0, qp / 6.0);
 }
 
-void Quantize(const CoeffBlock& coeffs, double qstep, LevelBlock* levels) {
-  // Dead-zone quantizer: slightly biases toward zero, which measurably
-  // improves rate at equal distortion for residual statistics. One
-  // reciprocal up front instead of 64 divides; floor of a non-negative
-  // value is a plain truncating cast, which vectorizes.
-  constexpr double kDeadZone = 0.4;
-  const double inv_qstep = 1.0 / qstep;
+int Quantize(const CoeffBlock& coeffs, int qp, LevelBlock* levels) {
+  const QuantParams params = QuantParamsFor(qp);
 #if defined(VC_SIMD_X86)
   if (simd::Enabled()) {
 #if defined(VC_SIMD_X86_AVX2_DISPATCH)
-    if (DispatchAvx2()) {
-      QuantizeAvx2(coeffs, inv_qstep, kDeadZone, levels);
-      return;
-    }
+    if (DispatchAvx2()) return QuantizeAvx2(coeffs, params, levels);
 #endif
-    QuantizeSse2(coeffs, inv_qstep, kDeadZone, levels);
-    return;
+    return QuantizeSse2(coeffs, params, levels);
   }
 #endif
-  QuantizeScalar(coeffs, inv_qstep, kDeadZone, levels);
+  return QuantizeScalar(coeffs, params, levels);
 }
 
-void Dequantize(const LevelBlock& levels, double qstep, CoeffBlock* coeffs) {
+int ZeroLevelLimit(int qp) { return kZeroLevelLimit[Clamp(qp, 0, kMaxQp)]; }
+
+void Dequantize(const LevelBlock& levels, int qp, CoeffBlock* coeffs) {
+  const int32_t scale = DequantScaleFor(qp);
 #if defined(VC_SIMD_X86)
   if (simd::Enabled()) {
-#if defined(VC_SIMD_X86_AVX2_DISPATCH)
-    if (DispatchAvx2()) {
-      DequantizeAvx2(levels, qstep, coeffs);
-      return;
-    }
-#endif
-    DequantizeSse2(levels, qstep, coeffs);
+    DequantizeSse2(levels, scale, coeffs);
     return;
   }
 #endif
-#pragma omp simd
-  for (int i = 0; i < kBlockPixels; ++i) {
-    (*coeffs)[i] = levels[i] * qstep;
-  }
+  DequantizeScalar(levels, scale, coeffs);
 }
 
 const std::array<int, kBlockPixels>& ZigzagOrder() {

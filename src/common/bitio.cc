@@ -14,7 +14,7 @@ std::vector<uint8_t> BitWriter::Finish() {
   return std::move(buffer_);
 }
 
-Status BitReader::ReadBits(int bits, uint64_t* value) {
+Status BitReader::ReadBitsSlow(int bits, uint64_t* value) {
   if (failed_) return Status::OutOfRange("bit reader in failed state");
   // Hard check, not just an assert: a caller deriving a width from stream
   // data must not wrap the bounds check below in NDEBUG builds.
@@ -42,14 +42,7 @@ Status BitReader::ReadBits(int bits, uint64_t* value) {
   return Status::OK();
 }
 
-Status BitReader::ReadBit(bool* bit) {
-  uint64_t v = 0;
-  VC_RETURN_IF_ERROR(ReadBits(1, &v));
-  *bit = v != 0;
-  return Status::OK();
-}
-
-Status BitReader::ReadUE(uint64_t* value) {
+Status BitReader::ReadUESlow(uint64_t* value) {
   int zeros = 0;
   while (true) {
     bool bit = false;
@@ -60,38 +53,9 @@ Status BitReader::ReadUE(uint64_t* value) {
     }
   }
   uint64_t suffix = 0;
-  VC_RETURN_IF_ERROR(ReadBits(zeros, &suffix));
+  VC_RETURN_IF_ERROR(ReadBitsSlow(zeros, &suffix));
   *value = ((uint64_t{1} << zeros) | suffix) - 1;
   return Status::OK();
-}
-
-Status BitReader::ReadSE(int64_t* value) {
-  uint64_t mapped;
-  VC_RETURN_IF_ERROR(ReadUE(&mapped));
-  if (mapped % 2 == 1) {
-    *value = static_cast<int64_t>((mapped + 1) / 2);
-  } else {
-    *value = -static_cast<int64_t>(mapped / 2);
-  }
-  return Status::OK();
-}
-
-uint64_t BitReader::PeekBits(int bits) const {
-  assert(bits >= 0 && bits <= 57);
-  if (failed_ || bits == 0) return 0;
-  // Gather whole bytes into an accumulator, then shift so the requested bits
-  // land at the bottom. Bytes past the end read as zero (the padding a
-  // decode-then-SkipBits caller relies on being rejected at consume time).
-  uint64_t acc = 0;
-  int have = -static_cast<int>(bit_pos_ % 8);
-  size_t byte_index = bit_pos_ / 8;
-  while (have < bits) {
-    uint8_t byte = byte_index < data_.size() ? data_[byte_index] : 0;
-    acc = (acc << 8) | byte;
-    have += 8;
-    ++byte_index;
-  }
-  return (acc >> (have - bits)) & ((uint64_t{1} << bits) - 1);
 }
 
 Status BitReader::SkipBits(int bits) {

@@ -111,24 +111,78 @@ class BitReader {
  public:
   explicit BitReader(Slice data) : data_(data) {}
 
+  // The hot reads are header-inline: the entropy layer calls them once or
+  // more per coded coefficient. Each fast path handles only the common case
+  // — reader healthy, the whole field inside the stream, short enough for
+  // one 64-bit window — and hands everything else, from the unchanged
+  // position, to the out-of-line bit-serial path, which therefore defines
+  // every failure status and position exactly.
+
   /// Reads `bits` bits (MSB-first) into `*value`. `bits` in [0, 64].
-  Status ReadBits(int bits, uint64_t* value);
+  Status ReadBits(int bits, uint64_t* value) {
+    if (!failed_ && bits > 0 && bits <= kWindowBits &&
+        static_cast<size_t>(bits) <= bits_remaining()) {
+      *value = Window() >> (64 - bits);
+      bit_pos_ += static_cast<size_t>(bits);
+      return Status::OK();
+    }
+    return ReadBitsSlow(bits, value);
+  }
 
   /// Reads a single bit.
-  Status ReadBit(bool* bit);
+  Status ReadBit(bool* bit) {
+    if (!failed_ && bit_pos_ < data_.size() * 8) {
+      *bit = ((data_[bit_pos_ / 8] >> (7 - bit_pos_ % 8)) & 1) != 0;
+      ++bit_pos_;
+      return Status::OK();
+    }
+    uint64_t v = 0;
+    VC_RETURN_IF_ERROR(ReadBitsSlow(1, &v));
+    *bit = v != 0;
+    return Status::OK();
+  }
 
   /// Reads an order-0 unsigned Exp-Golomb code.
-  Status ReadUE(uint64_t* value);
+  Status ReadUE(uint64_t* value) {
+    // Count the zero prefix with one clz over the window: a code with z
+    // leading zeros is 2z + 1 bits long, the low z + 1 of them being
+    // value + 1.
+    if (!failed_) {
+      const uint64_t window = Window();
+      const int zeros = std::countl_zero(window);
+      const int length = 2 * zeros + 1;
+      if (length <= kWindowBits &&
+          static_cast<size_t>(length) <= bits_remaining()) {
+        *value = (window >> (64 - length)) - 1;
+        bit_pos_ += static_cast<size_t>(length);
+        return Status::OK();
+      }
+    }
+    return ReadUESlow(value);
+  }
 
   /// Reads a signed Exp-Golomb code.
-  Status ReadSE(int64_t* value);
+  Status ReadSE(int64_t* value) {
+    uint64_t mapped;
+    VC_RETURN_IF_ERROR(ReadUE(&mapped));
+    if (mapped % 2 == 1) {
+      *value = static_cast<int64_t>((mapped + 1) / 2);
+    } else {
+      *value = -static_cast<int64_t>(mapped / 2);
+    }
+    return Status::OK();
+  }
 
   /// Returns the next `bits` bits (MSB-first) without consuming them,
   /// zero-padded past the end of the stream. Never fails and never moves the
   /// position — the caller that acts on peeked bits must consume them with
   /// SkipBits, which does bounds-check. `bits` in [0, 57] (the zero-padding
   /// shift must stay well-defined). Returns 0 once the reader has failed.
-  uint64_t PeekBits(int bits) const;
+  uint64_t PeekBits(int bits) const {
+    assert(bits >= 0 && bits <= kWindowBits);
+    if (failed_ || bits == 0) return 0;
+    return Window() >> (64 - bits);
+  }
 
   /// Consumes `bits` bits previously examined with PeekBits. Consuming more
   /// bits than remain fails (stickily) — this is what catches a truncated
@@ -153,6 +207,35 @@ class BitReader {
   bool failed() const { return failed_; }
 
  private:
+  /// Bits of Window() that are guaranteed to be stream bits (or zero
+  /// padding): 64 minus the at most 7 already consumed in the first byte.
+  static constexpr int kWindowBits = 57;
+
+  /// The next stream bits, MSB-aligned, zero-padded past the end. Only the
+  /// top kWindowBits are meaningful.
+  uint64_t Window() const {
+    const size_t byte_index = bit_pos_ / 8;
+    const size_t available = data_.size() - byte_index;
+    const uint8_t* p = data_.data() + byte_index;
+    uint64_t word = 0;
+    if (available >= 8) {
+      // Big-endian load; compilers fuse it into one load and a byte swap.
+      word = uint64_t{p[0]} << 56 | uint64_t{p[1]} << 48 |
+             uint64_t{p[2]} << 40 | uint64_t{p[3]} << 32 |
+             uint64_t{p[4]} << 24 | uint64_t{p[5]} << 16 |
+             uint64_t{p[6]} << 8 | uint64_t{p[7]};
+    } else {
+      for (size_t i = 0; i < 8; ++i) {
+        word = (word << 8) | (i < available ? p[i] : uint8_t{0});
+      }
+    }
+    return word << (bit_pos_ % 8);
+  }
+
+  /// Bit-serial reference paths: every failure status comes from here.
+  Status ReadBitsSlow(int bits, uint64_t* value);
+  Status ReadUESlow(uint64_t* value);
+
   Status Fail(Status status) {
     failed_ = true;
     return status;

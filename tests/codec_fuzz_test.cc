@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <vector>
 
 #include "codec/bitstream.h"
 #include "codec/decoder.h"
 #include "codec/encoder.h"
+#include "codec/entropy.h"
+#include "codec/mb_common.h"
+#include "codec/simd.h"
 #include "common/random.h"
 #include "image/scene.h"
 
@@ -141,6 +145,72 @@ INSTANTIATE_TEST_SUITE_P(BothProfiles, FuzzTest,
                                       ? "huffman"
                                       : "expgolomb";
                          });
+
+// Corrupt level blocks aimed at the reconstruction arithmetic rather than
+// the parser: syntactically valid blocks whose levels reach the int32
+// extremes, at the finest and coarsest QP. Integer dequantize saturates
+// before it multiplies and the inverse transform saturates between stages,
+// so every such block must decode to some in-range picture; the UBSan leg
+// turns any signed overflow on the way into a failure. Every SIMD tier must
+// also agree with the scalar path on these off-path inputs.
+TEST(LevelOverflowTest, ExtremeLevelsDecodeWithoutOverflow) {
+  std::vector<LevelBlock> blocks;
+  const int32_t extremes[] = {INT32_MAX, INT32_MIN + 1, INT32_MIN, 32768,
+                              -32769, 1 << 20};
+  for (int32_t level : extremes) {
+    LevelBlock dense;
+    dense.fill(level);
+    blocks.push_back(dense);
+    LevelBlock alternating;
+    for (int i = 0; i < kBlockPixels; ++i) {
+      alternating[i] = i % 2 == 0 ? level : -(level / 2);
+    }
+    blocks.push_back(alternating);
+    for (int position : {0, 1, kBlockSize, kBlockPixels - 1}) {
+      LevelBlock single{};
+      single[position] = level;
+      blocks.push_back(single);
+    }
+  }
+  Random rng(77);
+  for (int i = 0; i < 16; ++i) {
+    LevelBlock random;
+    for (auto& level : random) level = static_cast<int32_t>(rng.Next());
+    blocks.push_back(random);
+  }
+
+  std::vector<uint8_t> pred(kBlockPixels);
+  for (int i = 0; i < kBlockPixels; ++i) pred[i] = static_cast<uint8_t>(i * 4);
+  const bool simd_was_enabled = simd::Enabled();
+  const simd::Level cap = simd::LevelCap();
+  for (int qp : {0, 51}) {
+    for (const LevelBlock& levels : blocks) {
+      BitWriter writer;
+      EncodeLevelBlock(levels, &writer);
+      const std::vector<uint8_t> bytes = writer.Finish();
+      std::vector<uint8_t> reference;
+      for (simd::Level tier : {simd::Level::kScalar, simd::Level::kSse2,
+                               simd::Level::kAvx2}) {
+        simd::SetEnabled(tier != simd::Level::kScalar);
+        simd::SetLevelCap(tier);
+        BitReader reader{Slice(bytes)};
+        std::vector<uint8_t> recon(kBlockPixels);
+        ASSERT_TRUE(codec_internal::DecodeResidual(&reader, pred.data(),
+                                                   kBlockSize, qp,
+                                                   recon.data())
+                        .ok());
+        if (reference.empty()) {
+          reference = recon;
+        } else {
+          EXPECT_EQ(recon, reference)
+              << "qp " << qp << " tier " << simd::LevelName(tier);
+        }
+      }
+    }
+  }
+  simd::SetLevelCap(cap);
+  simd::SetEnabled(simd_was_enabled);
+}
 
 }  // namespace
 }  // namespace vc
