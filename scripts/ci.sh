@@ -46,8 +46,10 @@ tsan() {
   # Where races would live: the single-flight/async cache loader (including
   # oversize rejection and prefetch attribution under concurrency), the
   # tiered L1/L2 path through the sharded store, the prefetcher, the
-  # multi-session server scheduler, the query executor's batched async cell
-  # fetches, and the sharded metrics registry.
+  # multi-session server scheduler, the batched planned-cell reads (one
+  # cache pass per segment, misses on the I/O pool, a prefetcher racing
+  # them), the query executor's batched async cell fetches, and the sharded
+  # metrics registry.
   for t in server_test storage_test query_test obs_test common_test; do
     echo "-- tsan: $t"
     ./build-tsan/tests/"$t"
@@ -88,10 +90,13 @@ simd() {
   # misaligned vector loads fail loudly here. The server and storage suites
   # run too: sessions hold pointers to node views, prefetchers and plan
   # caches the serve loop owns, so a use-after-free there surfaces here.
+  # The geometry and core suites cover the planner's flat per-tile indexing
+  # (TilesInViewport's marks, the plan writes of AssignTileQualities).
   cmake -B build-asan -S . -DVC_SANITIZE=address+undefined
   cmake --build build-asan -j"$JOBS" --target codec_fuzz_test codec_test \
     codec_format_test common_test manifest_fuzz_test container_fuzz_test \
-    query_fuzz_test view_fuzz_test server_test storage_test
+    query_fuzz_test view_fuzz_test server_test storage_test geometry_test \
+    core_test
   ./build-asan/tests/codec_fuzz_test
   ./build-asan/tests/codec_test
   ./build-asan/tests/codec_format_test
@@ -102,6 +107,8 @@ simd() {
   ./build-asan/tests/view_fuzz_test
   ./build-asan/tests/server_test
   ./build-asan/tests/storage_test
+  ./build-asan/tests/geometry_test
+  ./build-asan/tests/core_test
 }
 
 case "${1:-all}" in

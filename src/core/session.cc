@@ -503,23 +503,23 @@ Status ClientSession::Step(double now) {
   {
     TileGrid grid = metadata_.tile_grid();
     Orientation actual = trace_.At(media_mid);
-    auto visible = grid.TilesInViewport(actual, options_.viewport.fov_yaw,
-                                        options_.viewport.fov_pitch);
-    for (const TileId& tile : visible) {
-      inview_quality_sum_ += skipped ? lowest : plan[grid.IndexOf(tile)];
-      ++inview_quality_count_;
-    }
+    grid.VisitTilesInViewport(
+        actual, options_.viewport.fov_yaw, options_.viewport.fov_pitch,
+        [&](int index) {
+          inview_quality_sum_ += skipped ? lowest : plan[index];
+          ++inview_quality_count_;
+        });
     // Predictor accuracy as the session experienced it: did the viewport
     // planned around the prediction (FOV + selection margin) cover the
     // tile the viewer actually gazed at mid-segment? The oracle is
     // excluded — its "prediction" is the ground truth.
     if (options_.approach != StreamingApproach::kOracle) {
-      auto covered = grid.TilesInViewport(
+      const int gaze = grid.IndexOf(grid.TileFor(actual));
+      bool hit = false;
+      grid.VisitTilesInViewport(
           predicted, options_.viewport.fov_yaw + 2 * options_.viewport_margin,
-          options_.viewport.fov_pitch + 2 * options_.viewport_margin);
-      TileId gaze = grid.TileFor(actual);
-      bool hit =
-          std::find(covered.begin(), covered.end(), gaze) != covered.end();
+          options_.viewport.fov_pitch + 2 * options_.viewport_margin,
+          [&](int index) { hit = hit || index == gaze; });
       (hit ? predict_hits_ : predict_misses_)->Add();
     }
   }

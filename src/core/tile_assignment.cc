@@ -14,12 +14,9 @@ TileQualityPlan AssignTileQualities(const VideoMetadata& metadata,
   int high = Clamp(options.high_quality, 0, metadata.quality_count() - 1);
 
   TileQualityPlan plan(grid.tile_count(), low);
-  auto visible = grid.TilesInViewport(predicted,
-                                      options.fov_yaw + 2 * options.margin,
-                                      options.fov_pitch + 2 * options.margin);
-  for (const TileId& tile : visible) {
-    plan[grid.IndexOf(tile)] = high;
-  }
+  grid.VisitTilesInViewport(predicted, options.fov_yaw + 2 * options.margin,
+                            options.fov_pitch + 2 * options.margin,
+                            [&plan, high](int index) { plan[index] = high; });
   return plan;
 }
 
@@ -37,6 +34,10 @@ TileQualityPlan FitPlanToBudget(const VideoMetadata& metadata, int segment,
                                 TileQualityPlan plan,
                                 const Orientation& predicted,
                                 double budget_bytes) {
+  uint64_t bytes = PlanBytes(metadata, segment, plan);
+  // A plan that already fits needs no ordering: skip the trig and the sort.
+  if (static_cast<double>(bytes) <= budget_bytes) return plan;
+
   TileGrid grid = metadata.tile_grid();
   const int lowest = metadata.quality_count() - 1;
 
@@ -51,7 +52,6 @@ TileQualityPlan FitPlanToBudget(const VideoMetadata& metadata, int segment,
     return distance[a] > distance[b];
   });
 
-  uint64_t bytes = PlanBytes(metadata, segment, plan);
   while (static_cast<double>(bytes) > budget_bytes) {
     bool degraded = false;
     for (int tile : order) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <set>
 #include <sstream>
 
 namespace vc {
@@ -29,6 +28,23 @@ Orientation TileGrid::CenterOf(TileId tile) const {
 std::vector<TileId> TileGrid::TilesInViewport(const Orientation& orientation,
                                               double fov_yaw,
                                               double fov_pitch) const {
+  std::vector<uint8_t> covered(static_cast<size_t>(tile_count()), 0);
+  int found = 0;
+  VisitTilesInViewport(orientation, fov_yaw, fov_pitch, [&](int index) {
+    covered[index] = 1;
+    ++found;
+  });
+  std::vector<TileId> tiles;
+  tiles.reserve(static_cast<size_t>(found));
+  for (int index = 0; index < tile_count(); ++index) {
+    if (covered[index]) tiles.push_back(TileAt(index));
+  }
+  return tiles;
+}
+
+void TileGrid::VisitTilesInViewport(const Orientation& orientation,
+                                    double fov_yaw, double fov_pitch,
+                                    FunctionRef<void(int)> visit) const {
   Orientation center = orientation.Normalized();
   double pitch_lo = center.pitch - fov_pitch / 2.0;
   double pitch_hi = center.pitch + fov_pitch / 2.0;
@@ -46,8 +62,8 @@ std::vector<TileId> TileGrid::TilesInViewport(const Orientation& orientation,
   int row_hi = Clamp(static_cast<int>((pitch_hi - 1e-9) / tile_pitch_extent()),
                      0, rows_ - 1);
 
-  std::set<TileId> tiles;
   for (int row = row_lo; row <= row_hi; ++row) {
+    const int row_start = row * cols_;
     bool polar_row =
         (over_top && row == 0) || (over_bottom && row == rows_ - 1);
     // The yaw extent needed widens with latitude: near a pole, a fixed
@@ -63,24 +79,28 @@ std::vector<TileId> TileGrid::TilesInViewport(const Orientation& orientation,
         std::min(std::sin(row_pitch_lo), std::sin(row_pitch_hi));
     double effective_half_yaw =
         worst_sin > 1e-3 ? std::min(kPi, fov_yaw / 2.0 / worst_sin) : kPi;
-    if (polar_row || effective_half_yaw >= kPi - 1e-9) {
-      for (int col = 0; col < cols_; ++col) tiles.insert(TileId{row, col});
+    int first = 0;
+    int last = cols_ - 1;
+    if (!polar_row && effective_half_yaw < kPi - 1e-9) {
+      double yaw_lo = center.yaw - effective_half_yaw;
+      double yaw_hi = center.yaw + effective_half_yaw;
+      // The covered yaw arc in tile-width steps; wrapped at the seam below.
+      first = static_cast<int>(std::floor(yaw_lo / tile_yaw_extent()));
+      last = static_cast<int>(std::floor((yaw_hi - 1e-9) / tile_yaw_extent()));
+    }
+    if (last - first + 1 >= cols_) {
+      // The arc reaches around the whole row: each column once.
+      for (int col = 0; col < cols_; ++col) visit(row_start + col);
       continue;
     }
-    double yaw_lo = center.yaw - effective_half_yaw;
-    double yaw_hi = center.yaw + effective_half_yaw;
-    // Walk the covered yaw arc in tile-width steps, wrapping at the seam.
-    int first = static_cast<int>(std::floor(yaw_lo / tile_yaw_extent()));
-    int last = static_cast<int>(std::floor((yaw_hi - 1e-9) / tile_yaw_extent()));
+    // Fewer than cols_ consecutive steps: their columns are distinct.
     for (int c = first; c <= last; ++c) {
-      int col = ((c % cols_) + cols_) % cols_;
-      tiles.insert(TileId{row, col});
+      visit(row_start + ((c % cols_) + cols_) % cols_);
     }
   }
   // A viewport over a pole also sees the adjacent rows on the far side;
   // approximating with full polar rows (above) is sufficient for quality
   // assignment, which only needs a superset of visible tiles near poles.
-  return std::vector<TileId>(tiles.begin(), tiles.end());
 }
 
 Result<TileGrid::PixelRect> TileGrid::PixelRectOf(TileId tile, int width,

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/function_ref.h"
 #include "common/result.h"
 #include "geometry/orientation.h"
 
@@ -66,6 +67,13 @@ class TileGrid {
   /// polar row band.
   std::vector<TileId> TilesInViewport(const Orientation& orientation,
                                       double fov_yaw, double fov_pitch) const;
+
+  /// Calls `visit(IndexOf(t))` once for each tile t TilesInViewport would
+  /// return, and allocates nothing. Rows come in ascending order; within a
+  /// row the columns follow the yaw arc, so they may wrap at the seam.
+  void VisitTilesInViewport(const Orientation& orientation, double fov_yaw,
+                            double fov_pitch,
+                            FunctionRef<void(int)> visit) const;
 
   /// Pixel rectangle of a tile inside a `width`×`height` equirectangular
   /// frame. Pixel edges are rounded to multiples of `align` (e.g. 16 for the

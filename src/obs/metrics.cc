@@ -32,12 +32,14 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   }
 }
 
-void Histogram::Observe(double value) {
+void Histogram::Observe(double value, uint64_t count) {
+  if (count == 0) return;
   auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
   size_t bucket = static_cast<size_t>(it - bounds_.begin());
-  counts_[bucket]->fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(value, std::memory_order_relaxed);
+  counts_[bucket]->fetch_add(count, std::memory_order_relaxed);
+  count_.fetch_add(count, std::memory_order_relaxed);
+  sum_.fetch_add(value * static_cast<double>(count),
+                 std::memory_order_relaxed);
 }
 
 HistogramSnapshot Histogram::Snapshot() const {

@@ -101,7 +101,10 @@ class Histogram {
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
-  void Observe(double value);
+  void Observe(double value) { Observe(value, 1); }
+  /// Records `count` observations of the same `value` at the cost of one:
+  /// one bucket, count and sum update each.
+  void Observe(double value, uint64_t count);
   HistogramSnapshot Snapshot() const;
   void Reset();
 

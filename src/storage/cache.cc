@@ -201,6 +201,34 @@ LruCache::AsyncHandle LruCache::GetOrComputeAsync(PackedCellKey key,
   return AsyncHandle(std::move(state));
 }
 
+LruCache::BatchHits LruCache::ReadBatch(
+    std::span<const PackedCellKey> keys, FunctionRef<void(size_t)> read_miss,
+    std::vector<PackedCellKey>* consumed_prefetch) {
+  BatchHits hits;
+  std::unique_lock<std::mutex> lock(mu_);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const PackedCellKey key = keys[i];
+    auto it = table_.find(key);
+    if (it == table_.end() || !it->second.cached) {
+      lock.unlock();
+      read_miss(i);
+      lock.lock();
+      continue;
+    }
+    Entry& entry = *it->second.entry;
+    ++stats_.hits;
+    ++hits.count;
+    hits.bytes += entry.value->size();
+    if (TouchLocked(&entry) && consumed_prefetch != nullptr) {
+      consumed_prefetch->push_back(key);
+    }
+    lru_.splice(lru_.begin(), lru_, it->second.entry);
+  }
+  lock.unlock();
+  if (hits.count > 0) HitCounter()->Add(hits.count);
+  return hits;
+}
+
 void LruCache::Complete(Table::value_type& registered,
                         const std::shared_ptr<AsyncHandle::State>& state,
                         Result<Value> loaded) {

@@ -7,6 +7,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -228,6 +229,30 @@ class LruCache {
         key, [&loader] { return std::move(loader); }, pool, kind,
         consumed_prefetch);
   }
+
+  /// What one ReadBatch pass resolved in place.
+  struct BatchHits {
+    uint64_t count = 0;  ///< Keys served straight from the cache.
+    uint64_t bytes = 0;  ///< Total size of their values.
+  };
+
+  /// One demand pass over `keys`, in order, under a single lock
+  /// acquisition. A cached key is resolved in place: the same touch, LRU
+  /// splice, prefetch credit and hit count a demand GetOrComputeAsync hit
+  /// makes, with the process-wide hit counter bumped once for the batch.
+  /// At a key that is not cached (absent or still loading) the lock is
+  /// released and `read_miss(i)` is called; it must read `keys[i]` through
+  /// GetOrComputeAsync as a demand load (here or through a tier above),
+  /// which counts the miss, coalesces or loads as usual. The pass then
+  /// re-locks and goes on with key i + 1. The LRU order, the evictions and
+  /// every CacheStats field therefore change exactly as under one demand
+  /// GetOrComputeAsync call per key, in order. When `consumed_prefetch` is
+  /// non-null, every hit that consumed a prefetched value appends its key
+  /// there before the lock is next released (a tiered caller credits the
+  /// other tier from it; see CreditPrefetchConsumption).
+  BatchHits ReadBatch(std::span<const PackedCellKey> keys,
+                      FunctionRef<void(size_t)> read_miss,
+                      std::vector<PackedCellKey>* consumed_prefetch = nullptr);
 
   /// Tier-promotion credit: a demand read consumed `key`'s copy held by
   /// another cache tier (e.g. a node's private L1 over this shared L2). If

@@ -57,7 +57,7 @@ uint32_t InternCellKeyspace(const std::string& identity);
 /// \brief The (segment, tile, quality) coordinates of one stored cell —
 /// the unit every layer above the storage manager addresses.
 ///
-/// Centralizes the key/path formatting that the buffer cache, the
+/// Centralizes the key formatting that the buffer cache, the
 /// prefetcher, and the query executor all need, so there is exactly one
 /// definition of what identifies a cell.
 struct CellKey {
@@ -84,11 +84,6 @@ struct CellKey {
   /// Flat index into `metadata.cells`.
   size_t Index(const VideoMetadata& metadata) const {
     return metadata.CellIndex(segment, tile, quality);
-  }
-
-  /// Relative file name of the cell within the video's data directory.
-  std::string FileName(const VideoMetadata& metadata) const {
-    return metadata.CellFileName(segment, tile, quality);
   }
 
   /// Packed cache/shard key. The video's keyspace id is memoized on the

@@ -1,7 +1,5 @@
 #include "storage/metadata.h"
 
-#include <cstdio>
-
 namespace vc {
 
 namespace {
@@ -52,14 +50,43 @@ Status UnpackVchd(const Box& box, VideoMetadata* m) {
   return Status::OK();
 }
 
+/// Appends `value` as printf's `%0<width>d` would: a '-' for negatives,
+/// then the digits zero-padded to the rest of the width.
+void AppendZeroPadded(int value, int width, std::string* out) {
+  uint32_t magnitude = static_cast<uint32_t>(value);
+  if (value < 0) {
+    out->push_back('-');
+    magnitude = 0u - magnitude;
+    --width;
+  }
+  char digits[10];
+  int n = 0;
+  do {
+    digits[n++] = static_cast<char>('0' + magnitude % 10);
+    magnitude /= 10;
+  } while (magnitude != 0);
+  if (n < width) out->append(static_cast<size_t>(width - n), '0');
+  while (n > 0) out->push_back(digits[--n]);
+}
+
 }  // namespace
 
 std::string VideoMetadata::CellFileName(int segment, int tile,
                                         int quality) const {
-  char buffer[48];
-  std::snprintf(buffer, sizeof(buffer), "s%05d_t%03d_q%02d.vcc", segment, tile,
-                quality);
-  return buffer;
+  std::string name;
+  AppendCellFileName(segment, tile, quality, &name);
+  return name;
+}
+
+void VideoMetadata::AppendCellFileName(int segment, int tile, int quality,
+                                       std::string* out) const {
+  out->push_back('s');
+  AppendZeroPadded(segment, 5, out);
+  out->append("_t");
+  AppendZeroPadded(tile, 3, out);
+  out->append("_q");
+  AppendZeroPadded(quality, 2, out);
+  out->append(".vcc");
 }
 
 uint64_t VideoMetadata::TotalBytes() const {

@@ -90,8 +90,12 @@ struct VideoMetadata {
            quality;
   }
 
-  /// Relative file name of a cell within the data directory.
+  /// Relative file name of a cell within the data directory:
+  /// `s%05d_t%03d_q%02d.vcc`, formatted by hand (no snprintf).
   std::string CellFileName(int segment, int tile, int quality) const;
+  /// Appends CellFileName(segment, tile, quality) to `out`.
+  void AppendCellFileName(int segment, int tile, int quality,
+                          std::string* out) const;
 
   /// The effective data directory ("v<version>" when unset).
   std::string DataDir() const {

@@ -128,35 +128,25 @@ Result<LruCache::AsyncHandle> ShardedStore::Node::ReadCellAsync(
 Status ShardedStore::Node::ReadPlannedCells(
     const VideoMetadata& metadata, int segment,
     const std::vector<int>& tile_qualities) {
-  if (static_cast<int>(tile_qualities.size()) != metadata.tile_count()) {
-    return Status::InvalidArgument("one quality per tile required");
-  }
-  // Batch-issue so cold tiles overlap across their owning shards' pools,
-  // then collect in tile order (first error wins) — same contract as
-  // StorageManager::ReadPlannedCells. With synchronous backends the handles
-  // come back resolved and this degenerates to the sequential path.
-  std::vector<LruCache::AsyncHandle> handles;
-  handles.reserve(tile_qualities.size());
-  for (int tile = 0; tile < metadata.tile_count(); ++tile) {
-    auto handle = ReadCellAsync(metadata, segment, tile, tile_qualities[tile],
-                                LoadKind::kDemand);
-    if (!handle.ok()) return handle.status();
-    handles.push_back(std::move(*handle));
-  }
-  Status first_error = Status::OK();
-  for (const LruCache::AsyncHandle& handle : handles) {
-    Stopwatch stopwatch;
-    Result<LruCache::Value> value = handle.Wait();
-    double waited = stopwatch.ElapsedSeconds();
-    ReadSecondsHistogram()->Observe(waited);
-    if (!handle.hit()) DemandMissHistogram()->Observe(waited);
-    if (value.ok()) {
-      CellReadBytesCounter()->Add((*value)->size());
-    } else if (first_error.ok()) {
-      first_error = value.status();
-    }
-  }
-  return first_error;
+  PlannedCellRead read;
+  VC_RETURN_IF_ERROR(read.Plan(metadata, segment, tile_qualities));
+  // Same contract as StorageManager::ReadPlannedCells: L1 hits resolve in
+  // place, and each other cell is dispatched on its owning shard's pool so
+  // cold tiles overlap across shards. A miss is observed as the wait on its
+  // handle; a synchronous backend's load runs at dispatch, outside it.
+  LruCache::BatchHits hits = tiers_.ReadBatch(read.keys(), [&](size_t i) {
+    const int tile = static_cast<int>(i);
+    const PackedCellKey key = read.keys()[i];
+    StorageManager* backend = store_->shard(store_->shard_map_.ShardFor(key));
+    read.AddPending(tiers_.GetOrComputeAsync(
+        key,
+        [&] {
+          return backend->CellLoader(metadata, segment, tile,
+                                     tile_qualities[i]);
+        },
+        backend->io_pool(), LoadKind::kDemand));
+  });
+  return read.Finish(hits);
 }
 
 }  // namespace vc

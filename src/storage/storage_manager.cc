@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <thread>
 
 #include "common/crc32.h"
@@ -253,8 +252,13 @@ LruCache::Loader StorageManager::MakeCellLoader(const VideoMetadata& metadata,
                                                 int quality) const {
   // Owning captures only: the loader may run on an I/O pool thread after
   // the calling frame (and its metadata reference) is gone.
-  std::string path = VideoDir(metadata.name) + "/" + metadata.DataDir() +
-                     "/" + CellKey{segment, tile, quality}.FileName(metadata);
+  // <root>/<name>/<data dir>/<cell file>, built in one reserved string.
+  std::string path;
+  path.reserve(options_.root.size() + metadata.name.size() +
+               metadata.data_dir.size() + 48);
+  path.append(options_.root).append("/").append(metadata.name).append("/");
+  path.append(metadata.DataDir()).append("/");
+  metadata.AppendCellFileName(segment, tile, quality, &path);
   CellInfo info = metadata.cells[metadata.CellIndex(segment, tile, quality)];
   Env* env = options_.env;
   double latency = options_.read_latency_seconds;
@@ -327,45 +331,24 @@ Result<LruCache::AsyncHandle> StorageManager::ReadCellAsync(
 Status StorageManager::ReadPlannedCells(const VideoMetadata& metadata,
                                         int segment,
                                         const std::vector<int>& tile_qualities) {
-  static Counter* cell_read_bytes =
-      MetricRegistry::Global().GetCounter("storage.cell_read_bytes");
-  static Histogram* read_seconds =
-      MetricRegistry::Global().GetHistogram("storage.read_seconds");
-  if (static_cast<int>(tile_qualities.size()) != metadata.tile_count()) {
-    return Status::InvalidArgument("one quality per tile required");
-  }
-  if (io_pool_ == nullptr) {
-    for (int tile = 0; tile < metadata.tile_count(); ++tile) {
-      auto cell = ReadCell(metadata, segment, tile, tile_qualities[tile]);
-      if (!cell.ok()) return cell.status();
-    }
-    return Status::OK();
-  }
-  // Issue the whole segment's loads at once so cold tiles overlap on the
-  // I/O pool, then collect in tile order (first error wins, as in the
-  // sequential path).
-  std::vector<LruCache::AsyncHandle> handles;
-  handles.reserve(tile_qualities.size());
-  for (int tile = 0; tile < metadata.tile_count(); ++tile) {
-    auto handle = ReadCellAsync(metadata, segment, tile,
-                                tile_qualities[tile], LoadKind::kDemand);
-    if (!handle.ok()) return handle.status();
-    handles.push_back(std::move(*handle));
-  }
-  Status first_error = Status::OK();
-  for (const LruCache::AsyncHandle& handle : handles) {
-    Stopwatch stopwatch;
-    Result<LruCache::Value> value = handle.Wait();
-    double waited = stopwatch.ElapsedSeconds();
-    read_seconds->Observe(waited);
-    if (!handle.hit()) DemandMissHistogram()->Observe(waited);
-    if (value.ok()) {
-      cell_read_bytes->Add((*value)->size());
-    } else if (first_error.ok()) {
-      first_error = value.status();
-    }
-  }
-  return first_error;
+  PlannedCellRead read;
+  VC_RETURN_IF_ERROR(read.Plan(metadata, segment, tile_qualities));
+  // One pass through the cache: hits resolve in place under one lock, and
+  // each other cell is dispatched as it comes, so with an I/O pool the cold
+  // tiles overlap and without one they load inline, in tile order. A miss's
+  // observation spans its dispatch (the inline load) and its wait.
+  LruCache::BatchHits hits = cache_.ReadBatch(read.keys(), [&](size_t i) {
+    const int tile = static_cast<int>(i);
+    Stopwatch dispatch;
+    LruCache::AsyncHandle handle = cache_.GetOrComputeAsync(
+        read.keys()[i],
+        [&] {
+          return MakeCellLoader(metadata, segment, tile, tile_qualities[i]);
+        },
+        io_pool_.get(), LoadKind::kDemand);
+    read.AddPending(std::move(handle), dispatch.ElapsedSeconds());
+  });
+  return read.Finish(hits);
 }
 
 void StorageManager::ClearCache() { cache_.Clear(); }

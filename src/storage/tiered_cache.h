@@ -38,8 +38,9 @@ class TieredCache {
   /// the owning backend's I/O pool so load concurrency is bounded per
   /// backend); that task resolves through the L2, coalescing with any other
   /// node's load of the same key. `kind` propagates to both tiers.
-  /// `make_loader` runs only on an L1 miss that becomes the L1 loader: an
-  /// L1 hit or coalesce builds nothing.
+  /// `make_loader` runs only on a miss that becomes the loader: an L1 hit or
+  /// coalesce builds nothing, and with a null `pool` (the L2 then resolves
+  /// inline) neither does an L2 hit or coalesce.
   LruCache::AsyncHandle GetOrComputeAsync(PackedCellKey key,
                                           LruCache::LoaderFactory make_loader,
                                           ThreadPool* pool, LoadKind kind);
@@ -50,6 +51,14 @@ class TieredCache {
     return GetOrComputeAsync(
         key, [&loader] { return std::move(loader); }, pool, kind);
   }
+
+  /// LruCache::ReadBatch over the L1: L1 hits resolve in place, and every
+  /// other key goes to `read_miss`, which must read it through this
+  /// GetOrComputeAsync. Consumed L1 prefetches are credited to the L2 once
+  /// the L1 lock is released, before the next miss reaches the L2, so both
+  /// tiers' statistics change exactly as under per-key calls.
+  LruCache::BatchHits ReadBatch(std::span<const PackedCellKey> keys,
+                                FunctionRef<void(size_t)> read_miss);
 
   CacheStats l1_stats() const { return l1_.stats(); }
   LruCache* l2() const { return l2_; }

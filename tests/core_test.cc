@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/env.h"
 #include "codec/decoder.h"
 #include "core/export.h"
@@ -264,6 +266,68 @@ TEST_F(CoreTest, PlanBytesAndBudgetFitting) {
       FitPlanToBudget(*metadata, 0, plan, gaze, mid_budget);
   TileGrid grid = metadata->tile_grid();
   EXPECT_EQ(degraded[grid.IndexOf(grid.TileFor(gaze))], 0);
+}
+
+/// Budget fitting without the within-budget shortcut: the farthest-first
+/// degradation loop run on every plan. The oracle for FitPlanToBudget.
+TileQualityPlan ReferenceFitPlanToBudget(const VideoMetadata& metadata,
+                                         int segment, TileQualityPlan plan,
+                                         const Orientation& predicted,
+                                         double budget_bytes) {
+  TileGrid grid = metadata.tile_grid();
+  const int lowest = metadata.quality_count() - 1;
+  std::vector<int> order(grid.tile_count());
+  std::vector<double> distance(grid.tile_count());
+  for (int i = 0; i < grid.tile_count(); ++i) {
+    order[i] = i;
+    distance[i] = AngularDistance(grid.CenterOf(grid.TileAt(i)), predicted);
+  }
+  std::sort(order.begin(), order.end(), [&distance](int a, int b) {
+    return distance[a] > distance[b];
+  });
+  while (static_cast<double>(PlanBytes(metadata, segment, plan)) >
+         budget_bytes) {
+    auto next = std::find_if(order.begin(), order.end(),
+                             [&](int tile) { return plan[tile] < lowest; });
+    if (next == order.end()) break;
+    plan[*next] += 1;
+  }
+  return plan;
+}
+
+TEST_F(CoreTest, FitPlanToBudgetMatchesReferenceAndKeepsFittingPlans) {
+  auto metadata = db_->Describe("venice");
+  ASSERT_TRUE(metadata.ok());
+  const int lowest = metadata->quality_count() - 1;
+  int over_budget = 0;
+  for (int segment = 0; segment < metadata->segment_count(); ++segment) {
+    for (double yaw = 0.0; yaw < kTwoPi; yaw += 0.9) {
+      for (double pitch : {0.05, kPi / 3, kPi / 2, kPi - 0.05}) {
+        Orientation gaze{yaw, pitch};
+        TileQualityPlan plan =
+            AssignTileQualities(*metadata, gaze, AssignmentOptions{});
+        const double bytes =
+            static_cast<double>(PlanBytes(*metadata, segment, plan));
+        const double floor = static_cast<double>(PlanBytes(
+            *metadata, segment, TileQualityPlan(plan.size(), lowest)));
+        // Within budget, down to exactly the plan's size: untouched.
+        for (double budget : {bytes, bytes + 1.0, 1e12}) {
+          EXPECT_EQ(FitPlanToBudget(*metadata, segment, plan, gaze, budget),
+                    plan);
+        }
+        // Over budget, from just under the plan to below the lowest rung.
+        for (double budget :
+             {bytes - 1.0, (bytes + floor) / 2, floor, floor - 1.0, 1.0}) {
+          TileQualityPlan fitted =
+              FitPlanToBudget(*metadata, segment, plan, gaze, budget);
+          EXPECT_EQ(fitted, ReferenceFitPlanToBudget(*metadata, segment, plan,
+                                                     gaze, budget));
+          ++over_budget;
+        }
+      }
+    }
+  }
+  EXPECT_GT(over_budget, 0);
 }
 
 // ----------------------------------------------------------------- Session

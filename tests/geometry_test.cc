@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <random>
+#include <set>
 
 #include "common/math_util.h"
 #include "geometry/orientation.h"
@@ -153,6 +155,101 @@ TEST(TileGridTest, WiderFovCoversMoreTiles) {
   for (const TileId& t : narrow) {
     EXPECT_NE(std::find(wide.begin(), wide.end(), t), wide.end());
   }
+}
+
+/// TilesInViewport as a std::set formulation, written out independently of
+/// the flat-array one: the oracle it must match tile for tile and in order.
+std::vector<TileId> ReferenceTilesInViewport(const TileGrid& grid,
+                                             const Orientation& orientation,
+                                             double fov_yaw,
+                                             double fov_pitch) {
+  const int rows = grid.rows();
+  const int cols = grid.cols();
+  Orientation center = orientation.Normalized();
+  double pitch_lo = center.pitch - fov_pitch / 2.0;
+  double pitch_hi = center.pitch + fov_pitch / 2.0;
+  bool over_top = pitch_lo < 0.0;
+  bool over_bottom = pitch_hi > kPi;
+  pitch_lo = Clamp(pitch_lo, 0.0, kPi);
+  pitch_hi = Clamp(pitch_hi, 0.0, kPi);
+  int row_lo = Clamp(static_cast<int>(pitch_lo / grid.tile_pitch_extent()), 0,
+                     rows - 1);
+  int row_hi =
+      Clamp(static_cast<int>((pitch_hi - 1e-9) / grid.tile_pitch_extent()), 0,
+            rows - 1);
+  std::set<TileId> tiles;
+  for (int row = row_lo; row <= row_hi; ++row) {
+    bool polar_row = (over_top && row == 0) || (over_bottom && row == rows - 1);
+    double row_pitch_lo = std::max(pitch_lo, row * grid.tile_pitch_extent());
+    double row_pitch_hi =
+        std::min(pitch_hi, (row + 1) * grid.tile_pitch_extent());
+    double worst_sin =
+        std::min(std::sin(row_pitch_lo), std::sin(row_pitch_hi));
+    double half_yaw =
+        worst_sin > 1e-3 ? std::min(kPi, fov_yaw / 2.0 / worst_sin) : kPi;
+    if (polar_row || half_yaw >= kPi - 1e-9) {
+      for (int col = 0; col < cols; ++col) tiles.insert(TileId{row, col});
+      continue;
+    }
+    int first = static_cast<int>(
+        std::floor((center.yaw - half_yaw) / grid.tile_yaw_extent()));
+    int last = static_cast<int>(
+        std::floor((center.yaw + half_yaw - 1e-9) / grid.tile_yaw_extent()));
+    for (int c = first; c <= last; ++c) {
+      tiles.insert(TileId{row, ((c % cols) + cols) % cols});
+    }
+  }
+  return std::vector<TileId>(tiles.begin(), tiles.end());
+}
+
+TEST(TileGridTest, ViewportMatchesSetReference) {
+  std::mt19937 rng(2017);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  int checked = 0;
+  for (int rows = 1; rows <= 12; ++rows) {
+    for (int cols = 1; cols <= 16; ++cols) {
+      TileGrid grid(rows, cols);
+      std::vector<Orientation> orientations = {
+          {0.0, kPi / 2},          // on the seam
+          {kTwoPi - 1e-12, 1.0},   // just left of the seam
+          {1e-12, 2.0},            // just right of it
+          {1.0, 0.0},              // north pole
+          {4.0, kPi},              // south pole
+          {2.5, 1e-4},             // next to each pole
+          {5.5, kPi - 1e-4},
+          {grid.tile_yaw_extent(), grid.tile_pitch_extent()},  // a corner
+      };
+      for (int i = 0; i < 24; ++i) {
+        // Yaw outside [0, 2π) exercises normalization too.
+        orientations.push_back(
+            {(unit(rng) * 3.0 - 1.0) * kTwoPi, unit(rng) * kPi});
+      }
+      for (const Orientation& o : orientations) {
+        // FOVs up to 360° on both axes, plus the canonical 100°×90°.
+        for (int f = 0; f < 4; ++f) {
+          double fov_yaw = f == 0 ? DegToRad(100) : unit(rng) * kTwoPi;
+          double fov_pitch = f == 0 ? DegToRad(90) : unit(rng) * kTwoPi;
+          std::vector<TileId> expected =
+              ReferenceTilesInViewport(grid, o, fov_yaw, fov_pitch);
+          ASSERT_EQ(grid.TilesInViewport(o, fov_yaw, fov_pitch), expected)
+              << grid.ToString() << " yaw=" << o.yaw << " pitch=" << o.pitch
+              << " fov=" << fov_yaw << "x" << fov_pitch;
+          // The visitor reports the same tiles, each exactly once.
+          std::vector<int> visits(grid.tile_count(), 0);
+          grid.VisitTilesInViewport(o, fov_yaw, fov_pitch,
+                                    [&](int index) { ++visits[index]; });
+          for (int index = 0; index < grid.tile_count(); ++index) {
+            bool listed = std::find(expected.begin(), expected.end(),
+                                    grid.TileAt(index)) != expected.end();
+            ASSERT_EQ(visits[index], listed ? 1 : 0)
+                << grid.ToString() << " tile " << index;
+          }
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 12 * 16 * 32 * 4);
 }
 
 TEST(TileGridTest, PixelRectsTileTheFrame) {

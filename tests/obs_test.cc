@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -79,6 +80,22 @@ TEST(HistogramTest, PercentileReportsBucketBound) {
   Histogram overflow({1.0});
   overflow.Observe(100.0);
   EXPECT_EQ(overflow.Snapshot().Percentile(1.0), 1.0);
+}
+
+TEST(HistogramTest, BulkObserveEqualsRepeatedObserve) {
+  Histogram bulk({1.0, 2.0, 4.0});
+  Histogram repeated({1.0, 2.0, 4.0});
+  for (auto [value, count] : {std::pair{0.0, 7}, {1.5, 3}, {99.0, 2}}) {
+    bulk.Observe(value, count);
+    for (int i = 0; i < count; ++i) repeated.Observe(value);
+  }
+  bulk.Observe(3.0, 0);  // a zero count records nothing
+  HistogramSnapshot a = bulk.Snapshot();
+  HistogramSnapshot b = repeated.Snapshot();
+  EXPECT_EQ(a.counts, b.counts);
+  EXPECT_EQ(a.count, 12u);
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_DOUBLE_EQ(a.sum, b.sum);
 }
 
 TEST(RegistryTest, ReturnsStableHandles) {

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <mutex>
 #include <random>
 #include <set>
@@ -12,6 +13,7 @@
 #include "common/env.h"
 #include "common/math_util.h"
 #include "image/scene.h"
+#include "obs/metrics.h"
 #include "storage/cache.h"
 #include "storage/cell_source.h"
 #include "storage/metadata.h"
@@ -1136,8 +1138,7 @@ TEST(TieredCacheTest, LoaderFactoryRunsOnlyWhenL1BecomesLoader) {
     };
   };
 
-  // Cold on node A: the L1 registration builds the loader once, and the L2
-  // miss runs it.
+  // Cold on node A: the L2 miss builds the loader once and runs it.
   auto cold = node_a.GetOrComputeAsync(21, make_loader, /*pool=*/nullptr,
                                        LoadKind::kDemand);
   auto loaded = cold.Wait();
@@ -1157,15 +1158,26 @@ TEST(TieredCacheTest, LoaderFactoryRunsOnlyWhenL1BecomesLoader) {
   ASSERT_TRUE(value.ok());
   EXPECT_EQ(*value, *loaded);
 
-  // Cold on node B but warm in the L2: the single L1 registration is the
-  // only factory call, and the L2 hit runs no load.
+  // Cold on node B but warm in the L2: without a pool the L2 resolves
+  // inline, so its hit builds no loader and runs no load.
   auto l2_hit = node_b.GetOrComputeAsync(21, make_loader, /*pool=*/nullptr,
                                          LoadKind::kDemand);
   ASSERT_TRUE(l2_hit.Wait().ok());
   EXPECT_FALSE(l2_hit.hit()) << "hit means node-local L1";
-  EXPECT_EQ(factory_calls, 2);
+  EXPECT_EQ(factory_calls, 1);
   EXPECT_EQ(loads, 1);
   EXPECT_EQ(l2.stats().hits, 1u);
+
+  // A pool load outlives this call, so it takes an owning loader, built
+  // when the L1 registers it, even though the L2 then hits.
+  ThreadPool pool(1);
+  TieredCache node_c(1 << 16, &l2);
+  auto pooled = node_c.GetOrComputeAsync(21, make_loader, &pool,
+                                         LoadKind::kDemand);
+  ASSERT_TRUE(pooled.Wait().ok());
+  EXPECT_EQ(factory_calls, 2);
+  EXPECT_EQ(loads, 1);
+  EXPECT_EQ(l2.stats().hits, 2u);
 }
 
 TEST(TieredCacheTest, PromotionCreditsL2PrefetchNotWasted) {
@@ -1755,6 +1767,345 @@ TEST_F(MonolithicTest, RangeValidation) {
   EXPECT_FALSE(
       ReadFrameRangeIndexed(env_.get(), "/mono.vcc", *index, 0, 99).ok());
   EXPECT_FALSE(ReadFrameRangeLinear(env_.get(), "/mono.vcc", 0, 99).ok());
+}
+
+// ------------------------------------------------------ Batched planned reads
+
+/// Stores a 2×3-tile, 3-rung, 4-segment video whose cells all differ in
+/// size, through `store`, and returns its committed metadata.
+VideoMetadata StoreGridVideo(StorageManager* store, const std::string& name) {
+  VideoMetadata layout;
+  layout.name = name;
+  layout.width = 96;
+  layout.height = 64;
+  layout.frames_per_segment = 4;
+  layout.tile_rows = 2;
+  layout.tile_cols = 3;
+  layout.ladder = {{"high", 14}, {"mid", 28}, {"low", 40}};
+  auto writer = store->NewVideoWriter(layout);
+  EXPECT_TRUE(writer.ok());
+  for (int s = 0; s < 4; ++s) {
+    std::vector<std::vector<uint8_t>> cells;
+    for (int t = 0; t < 6; ++t) {
+      for (int q = 0; q < 3; ++q) {
+        cells.push_back(std::vector<uint8_t>(
+            40 + 7 * s + 5 * t + 3 * q,
+            static_cast<uint8_t>(s * 32 + t * 3 + q)));
+      }
+    }
+    EXPECT_TRUE((*writer)->AddSegment(4, cells).ok());
+  }
+  auto version = (*writer)->Commit();
+  EXPECT_TRUE(version.ok());
+  auto metadata = store->GetVideoVersion(name, *version);
+  EXPECT_TRUE(metadata.ok());
+  return *metadata;
+}
+
+void ExpectSameCacheStats(const CacheStats& a, const CacheStats& b) {
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.bytes_cached, b.bytes_cached);
+  EXPECT_EQ(a.coalesced, b.coalesced);
+  EXPECT_EQ(a.rejected_oversize, b.rejected_oversize);
+  EXPECT_EQ(a.admission_rejects, b.admission_rejects);
+  EXPECT_EQ(a.prefetch_issued, b.prefetch_issued);
+  EXPECT_EQ(a.prefetch_hits, b.prefetch_hits);
+  EXPECT_EQ(a.prefetch_wasted, b.prefetch_wasted);
+}
+
+/// The storage.* metric movement over one read sequence.
+struct ReadMetrics {
+  uint64_t cell_reads = 0;
+  uint64_t cell_read_bytes = 0;
+  uint64_t read_observations = 0;
+  uint64_t demand_miss_observations = 0;
+};
+
+ReadMetrics ReadMetricsNow() {
+  MetricsSnapshot snapshot = MetricRegistry::Global().Snapshot();
+  ReadMetrics now;
+  now.cell_reads = snapshot.counters["storage.cell_reads"];
+  now.cell_read_bytes = snapshot.counters["storage.cell_read_bytes"];
+  now.read_observations = snapshot.histograms["storage.read_seconds"].count;
+  now.demand_miss_observations =
+      snapshot.histograms["storage.demand_miss_seconds"].count;
+  return now;
+}
+
+ReadMetrics operator-(const ReadMetrics& after, const ReadMetrics& before) {
+  return {after.cell_reads - before.cell_reads,
+          after.cell_read_bytes - before.cell_read_bytes,
+          after.read_observations - before.read_observations,
+          after.demand_miss_observations - before.demand_miss_observations};
+}
+
+/// One step of a replayed read sequence: a planned segment, optionally
+/// preceded by one speculative cell load.
+struct PlannedStep {
+  int segment = 0;
+  std::vector<int> plan;
+  bool prefetch = false;
+  CellKey prefetch_cell;
+};
+
+std::vector<PlannedStep> PlannedSequence(const VideoMetadata& m, int steps,
+                                         uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::vector<PlannedStep> sequence(steps);
+  for (PlannedStep& step : sequence) {
+    step.segment = static_cast<int>(rng() % m.segment_count());
+    step.plan.resize(m.tile_count());
+    for (int& q : step.plan) q = static_cast<int>(rng() % m.quality_count());
+    step.prefetch = rng() % 3 == 0;
+    step.prefetch_cell = CellKey{static_cast<int>(rng() % m.segment_count()),
+                                 static_cast<int>(rng() % m.tile_count()),
+                                 static_cast<int>(rng() % m.quality_count())};
+  }
+  return sequence;
+}
+
+/// Replays `sequence` on `source`, either cell by cell (ReadCell) or one
+/// batch per step (ReadPlannedCells). Returns the metric movement.
+ReadMetrics Replay(CellSource* source, const VideoMetadata& m,
+                   const std::vector<PlannedStep>& sequence, bool batched) {
+  ReadMetrics before = ReadMetricsNow();
+  for (const PlannedStep& step : sequence) {
+    if (step.prefetch) {
+      const CellKey& c = step.prefetch_cell;
+      auto handle =
+          source->ReadCellAsync(m, c.segment, c.tile, c.quality,
+                                LoadKind::kPrefetch);
+      EXPECT_TRUE(handle.ok() && handle->Wait().ok());
+    }
+    if (batched) {
+      EXPECT_TRUE(source->ReadPlannedCells(m, step.segment, step.plan).ok());
+    } else {
+      for (int tile = 0; tile < m.tile_count(); ++tile) {
+        EXPECT_TRUE(
+            source->ReadCell(m, step.segment, tile, step.plan[tile]).ok());
+      }
+    }
+  }
+  return ReadMetricsNow() - before;
+}
+
+TEST_F(StorageManagerTest, PlannedBatchMatchesPerCellReads) {
+  VideoMetadata m = StoreGridVideo(store_.get(), "grid");
+  const std::vector<PlannedStep> sequence = PlannedSequence(m, 60, 7);
+  const uint64_t cells = sequence.size() * m.tile_count();
+
+  // Two stores over the same files, each with a cache far under the
+  // catalog (~1.2 KiB of cells per segment plan), so the sequence evicts.
+  StorageOptions options;
+  options.env = env_.get();
+  options.root = "/store";
+  options.cache_capacity_bytes = 900;
+  auto per_cell = StorageManager::Open(options);
+  auto batched = StorageManager::Open(options);
+  ASSERT_TRUE(per_cell.ok() && batched.ok());
+
+  ReadMetrics one = Replay(per_cell->get(), m, sequence, /*batched=*/false);
+  ReadMetrics batch = Replay(batched->get(), m, sequence, /*batched=*/true);
+
+  CacheStats stats = (*batched)->cache_stats();
+  ExpectSameCacheStats((*per_cell)->cache_stats(), stats);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_GT(stats.prefetch_hits, 0u);
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_EQ(stats.hits + stats.misses, cells);
+
+  EXPECT_EQ(batch.cell_reads, one.cell_reads);
+  EXPECT_EQ(batch.cell_reads, cells);
+  EXPECT_EQ(batch.cell_read_bytes, one.cell_read_bytes);
+  EXPECT_EQ(batch.read_observations, cells);
+  EXPECT_EQ(batch.demand_miss_observations, stats.misses);
+  EXPECT_EQ(one.demand_miss_observations, stats.misses);
+}
+
+TEST_F(StorageManagerTest, NodePlannedBatchMatchesPerCellReads) {
+  VideoMetadata m = StoreGridVideo(store_.get(), "grid");
+  const std::vector<PlannedStep> sequence = PlannedSequence(m, 60, 11);
+  const uint64_t cells = sequence.size() * m.tile_count();
+
+  // Both tiers far under the catalog. In the second configuration the L2
+  // is the smaller tier, so an L1 hit that consumes a prefetch can see the
+  // L2 copy evicted by a later miss of the same batch: the L2 credit must
+  // land before that miss, as it does cell by cell.
+  for (auto [l1_bytes, l2_bytes] : {std::pair<size_t, size_t>{700, 1500},
+                                    {1400, 500}}) {
+    SCOPED_TRACE(testing::Message() << "L1 " << l1_bytes << " L2 " << l2_bytes);
+    // Two clusters over the same files, with synchronous backends so the
+    // load order is deterministic.
+    ShardedStoreOptions options;
+    options.backend.env = env_.get();
+    options.backend.root = "/store";
+    options.shards = 2;
+    options.l2_capacity_bytes = l2_bytes;
+    auto per_cell = ShardedStore::Open(options);
+    auto batched = ShardedStore::Open(options);
+    ASSERT_TRUE(per_cell.ok() && batched.ok());
+    auto per_cell_node = (*per_cell)->CreateNode(l1_bytes);
+    auto batched_node = (*batched)->CreateNode(l1_bytes);
+
+    ReadMetrics one = Replay(per_cell_node.get(), m, sequence, false);
+    ReadMetrics batch = Replay(batched_node.get(), m, sequence, true);
+
+    CacheStats l1 = batched_node->cache_stats();
+    CacheStats l2 = (*batched)->l2_stats();
+    ExpectSameCacheStats(per_cell_node->cache_stats(), l1);
+    ExpectSameCacheStats((*per_cell)->l2_stats(), l2);
+    EXPECT_GT(l1.evictions, 0u);
+    EXPECT_GT(l1.prefetch_hits, 0u);
+    EXPECT_GT(l2.evictions, 0u);
+    EXPECT_GT(l2.prefetch_hits, 0u);
+    EXPECT_EQ(l1.hits + l1.misses, cells);
+
+    EXPECT_EQ(batch.cell_reads, one.cell_reads);
+    EXPECT_EQ(batch.cell_reads, cells);
+    EXPECT_EQ(batch.cell_read_bytes, one.cell_read_bytes);
+    EXPECT_EQ(batch.read_observations, cells);
+    EXPECT_EQ(batch.demand_miss_observations, l1.misses);
+  }
+}
+
+TEST_F(StorageManagerTest, PlannedBatchReturnsFirstCorruptTileInOrder) {
+  VideoMetadata m = StoreGridVideo(store_.get(), "grid");
+  const std::vector<int> plan = {0, 1, 2, 0, 1, 2};
+  // Corrupt tiles 4 and 1 of segment 2 (in that order, so neither the
+  // write order nor the path order picks the answer).
+  for (int tile : {4, 1}) {
+    std::string path =
+        "/store/grid/v1/" + m.CellFileName(2, tile, plan[tile]);
+    auto bytes = env_->ReadFile(path);
+    ASSERT_TRUE(bytes.ok());
+    (*bytes)[3] ^= 0x5a;
+    ASSERT_TRUE(env_->WriteFile(path, Slice(*bytes)).ok());
+  }
+  const std::string first_bad = m.CellFileName(2, 1, plan[1]);
+  auto expect_first_error = [&](CellSource* source) {
+    for (int pass = 0; pass < 2; ++pass) {  // cold, then with tiles cached
+      Status status = source->ReadPlannedCells(m, 2, plan);
+      EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+      EXPECT_NE(status.ToString().find(first_bad), std::string::npos)
+          << status.ToString();
+    }
+  };
+
+  for (int io_threads : {0, 2}) {
+    StorageOptions options;
+    options.env = env_.get();
+    options.root = "/store";
+    options.io_threads = io_threads;
+    auto store = StorageManager::Open(options);
+    ASSERT_TRUE(store.ok());
+    expect_first_error(store->get());
+    // The clean tiles were read and cached all the same.
+    EXPECT_EQ((*store)->cache_stats().hits, 4u);
+
+    ShardedStoreOptions sharded;
+    sharded.backend = options;
+    sharded.shards = 2;
+    auto cluster = ShardedStore::Open(sharded);
+    ASSERT_TRUE(cluster.ok());
+    auto node = (*cluster)->CreateNode(1 << 16);
+    expect_first_error(node.get());
+  }
+}
+
+TEST_F(StorageManagerTest, PlannedBatchHammerWithIoPoolAndPrefetcher) {
+  // Thread-sanitizer target: sessions batch-read planned segments through
+  // one store and through cluster nodes while a prefetcher speculates on
+  // the same cells and the caches evict under pressure.
+  VideoMetadata m = StoreGridVideo(store_.get(), "grid");
+  StorageOptions options;
+  options.env = env_.get();
+  options.root = "/store";
+  options.io_threads = 2;
+  options.cache_capacity_bytes = 1200;
+  auto store = StorageManager::Open(options);
+  ASSERT_TRUE(store.ok());
+  ShardedStoreOptions sharded;
+  sharded.backend = options;
+  sharded.shards = 2;
+  sharded.l2_capacity_bytes = 1500;
+  auto cluster = ShardedStore::Open(sharded);
+  ASSERT_TRUE(cluster.ok());
+  auto node_a = (*cluster)->CreateNode(800);
+  auto node_b = (*cluster)->CreateNode(800);
+
+  constexpr int kSteps = 150;
+  std::atomic<int> failures{0};
+  auto reader = [&](CellSource* source, uint32_t seed) {
+    for (const PlannedStep& step : PlannedSequence(m, kSteps, seed)) {
+      if (!source->ReadPlannedCells(m, step.segment, step.plan).ok()) {
+        failures.fetch_add(1);
+      }
+    }
+  };
+  auto speculator = [&](CellSource* source, uint32_t seed) {
+    PrefetcherOptions prefetch_options;
+    prefetch_options.mode = PrefetchMode::kPredict;
+    PredictivePrefetcher prefetcher(source, prefetch_options);
+    std::mt19937 rng(seed);
+    for (int i = 0; i < kSteps; ++i) {
+      PrefetchHint hint;
+      hint.valid = true;
+      hint.segment = static_cast<int>(rng() % m.segment_count());
+      hint.predicted =
+          Orientation{(rng() % 628) / 100.0, (rng() % 314) / 100.0};
+      hint.fov_yaw = 1.5;
+      hint.fov_pitch = 1.2;
+      hint.high_quality = static_cast<int>(rng() % 2);
+      prefetcher.EnqueueSegment(m, hint, nullptr, /*deadline=*/i + 5.0);
+      prefetcher.Pump(static_cast<double>(i));
+    }
+    prefetcher.Drain();
+  };
+  std::vector<std::thread> threads;
+  threads.emplace_back(reader, store->get(), 1);
+  threads.emplace_back(reader, store->get(), 2);
+  threads.emplace_back(speculator, store->get(), 3);
+  threads.emplace_back(reader, node_a.get(), 4);
+  threads.emplace_back(reader, node_b.get(), 5);
+  threads.emplace_back(speculator, node_a.get(), 6);
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  const uint64_t per_reader = static_cast<uint64_t>(kSteps) * m.tile_count();
+  CacheStats single = (*store)->cache_stats();
+  EXPECT_EQ(single.hits + single.misses, 2 * per_reader);
+  CacheStats nodes = node_a->cache_stats();
+  nodes += node_b->cache_stats();
+  EXPECT_EQ(nodes.hits + nodes.misses, 2 * per_reader);
+  // Drained and cleared, every issued prefetch is a hit or wasted.
+  (*store)->ClearCache();
+  node_a->ClearL1();
+  (*cluster)->ClearL2();
+  for (const CacheStats& stats :
+       {(*store)->cache_stats(), node_a->cache_stats(),
+        (*cluster)->l2_stats()}) {
+    EXPECT_EQ(stats.prefetch_issued,
+              stats.prefetch_hits + stats.prefetch_wasted);
+  }
+}
+
+TEST(VideoMetadataTest, CellFileNameMatchesPrintfAtWidthBoundaries) {
+  VideoMetadata m = SampleMetadata();
+  for (int segment : {0, 7, 99999, 100000, 1234567, -1}) {
+    for (int tile : {0, 999, 1000, -12}) {
+      for (int quality : {0, 9, 99, 100, 255}) {
+        char expected[64];
+        std::snprintf(expected, sizeof(expected), "s%05d_t%03d_q%02d.vcc",
+                      segment, tile, quality);
+        EXPECT_EQ(m.CellFileName(segment, tile, quality), expected);
+        std::string appended = "dir/";
+        m.AppendCellFileName(segment, tile, quality, &appended);
+        EXPECT_EQ(appended, std::string("dir/") + expected);
+      }
+    }
+  }
 }
 
 }  // namespace
