@@ -40,7 +40,8 @@
 // (trace seed, network seed) pairs, served single-node and by a 16-node
 // cluster, reported as host seconds per viewer. The hard check is
 // sublinearity headroom — at 10k viewers the single-node host cost per
-// viewer must stay within 1.5x of the 1k value. A fixed smaller cohort is
+// viewer must stay within 1.5x of the 1k value, each the median of five
+// single-node runs of the cohort. A fixed smaller cohort is
 // then re-served across {plan cache on/off} x {rerun} x {node count} x
 // {prefetch mode} and every variant must reproduce the baseline's
 // simulated outcome byte-for-byte.
@@ -184,13 +185,29 @@ std::string RunFastPathExperiment(BenchDb& bench,
               "host s", "host s/view", "plan hit", "cache hit", "nodes",
               "host s/view", "node host s", "plan hit", "L2 hit");
 
+  // When the sublinearity check runs, each cohort's single-node host time
+  // is the median of several runs: one run's wall time moves by tens of
+  // percent with host load and allocator state, enough on its own to
+  // cross the bound. Every rerun must reproduce the first one's simulated
+  // outcome.
+  const int host_samples = cohorts.size() > 1 ? 5 : 1;
   std::string cohort_json;
   double first_hsv = 0.0, last_hsv = 0.0;
   for (int count : cohorts) {
     std::vector<ViewerRequest> viewers = MakeFastPathViewers(count);
 
     ServerStats single = run_single(viewers, /*share_plans=*/true);
-    double hsv = single.host_seconds / count;
+    std::vector<double> host_runs = {single.host_seconds};
+    for (int sample = 1; sample < host_samples; ++sample) {
+      ServerStats rerun = run_single(viewers, /*share_plans=*/true);
+      CheckSameSimulation(single, rerun, "E11 host-time rerun");
+      host_runs.push_back(rerun.host_seconds);
+    }
+    std::nth_element(host_runs.begin(),
+                     host_runs.begin() + host_runs.size() / 2,
+                     host_runs.end());
+    const double host_seconds = host_runs[host_runs.size() / 2];
+    double hsv = host_seconds / count;
     if (first_hsv == 0.0) first_hsv = hsv;
     last_hsv = hsv;
 
@@ -206,7 +223,7 @@ std::string RunFastPathExperiment(BenchDb& bench,
     std::printf(
         "%8d %10.3f %12.6f %9.1f%% %9.1f%% | %8d %12.6f %12.3f "
         "%7.1f%% %7.1f%%\n",
-        count, single.host_seconds, hsv, 100.0 * single.plan.HitRate(),
+        count, host_seconds, hsv, 100.0 * single.plan.HitRate(),
         100.0 * single.cache.HitRate(), cluster_nodes,
         cluster.totals.host_seconds / count, node_host,
         100.0 * cluster.totals.plan.HitRate(), 100.0 * cluster.l2.HitRate());
@@ -222,7 +239,7 @@ std::string RunFastPathExperiment(BenchDb& bench,
         "   \"cluster\": {\"nodes\": %d, \"host_seconds_per_viewer\": %.6f, "
         "\"max_node_host_seconds\": %.4f, \"plan_hit_rate\": %.4f, "
         "\"l1_hit_rate\": %.4f, \"l2_hit_rate\": %.4f}}",
-        cohort_json.empty() ? "" : ",\n", count, single.host_seconds, hsv,
+        cohort_json.empty() ? "" : ",\n", count, host_seconds, hsv,
         single.plan.HitRate(), single.cache.HitRate(),
         static_cast<unsigned long long>(single.bytes_sent),
         single.sessions_completed, cluster_nodes,

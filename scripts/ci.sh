@@ -92,11 +92,15 @@ simd() {
   # caches the serve loop owns, so a use-after-free there surfaces here.
   # The geometry and core suites cover the planner's flat per-tile indexing
   # (TilesInViewport's marks, the plan writes of AssignTileQualities).
+  # Sessions read their catalog entry, trace and live snapshot through
+  # non-owning pointers: the predict suite covers the trace cursor, and the
+  # integration suite streams live checkpoints, so a dangling read surfaces
+  # as a use-after-free.
   cmake -B build-asan -S . -DVC_SANITIZE=address+undefined
   cmake --build build-asan -j"$JOBS" --target codec_fuzz_test codec_test \
     codec_format_test common_test manifest_fuzz_test container_fuzz_test \
     query_fuzz_test view_fuzz_test server_test storage_test geometry_test \
-    core_test
+    core_test predict_test integration_test
   ./build-asan/tests/codec_fuzz_test
   ./build-asan/tests/codec_test
   ./build-asan/tests/codec_format_test
@@ -109,6 +113,8 @@ simd() {
   ./build-asan/tests/storage_test
   ./build-asan/tests/geometry_test
   ./build-asan/tests/core_test
+  ./build-asan/tests/predict_test
+  ./build-asan/tests/integration_test
 }
 
 case "${1:-all}" in

@@ -74,11 +74,13 @@ class PlanCache {
     }
   };
 
-  /// A cached plan plus the downgrade count budget fitting produced — the
-  /// session replays the `session.quality_downgrades` metric on a hit, so
+  /// A cached plan, the bytes it transfers, and the downgrade count budget
+  /// fitting produced. A hit needs no PlanBytes pass, and the session
+  /// replays the `session.quality_downgrades` metric from it, so
   /// observability is identical cached or not.
   struct Entry {
     TileQualityPlan plan;
+    uint64_t bytes = 0;  ///< PlanBytes of `plan` for the key's segment.
     int downgrades = 0;
   };
 

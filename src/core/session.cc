@@ -70,29 +70,44 @@ Counter* DowngradeCounter() {
   return counter;
 }
 
-/// A computed plan plus its budget-fitting downgrade count (0 when fitting
-/// did not run) — what the plan cache memoizes.
-struct PlannedSegment {
-  TileQualityPlan plan;
-  int downgrades = 0;
-};
+/// A per-tile plan with its bytes: fitted to `budget_bytes` first when the
+/// session adapts, counting the tiles fitting downgraded. Shared by the
+/// cached planner and the oracle's path plan.
+PlanCache::Entry FitPlan(const VideoMetadata& metadata, int segment,
+                         TileQualityPlan plan, const Orientation& predicted,
+                         const SessionOptions& options, double budget_bytes) {
+  PlanCache::Entry entry;
+  if (!options.adaptive) {
+    entry.bytes = PlanBytes(metadata, segment, plan);
+    entry.plan = std::move(plan);
+    return entry;
+  }
+  TileQualityPlan requested = plan;
+  entry.plan = FitPlanToBudget(metadata, segment, std::move(plan), predicted,
+                               budget_bytes, &entry.bytes);
+  entry.downgrades = CountDowngrades(requested, entry.plan);
+  return entry;
+}
 
-/// Computes the segment's per-tile qualities for the chosen approach.
-/// `popular` is the popularity overlay as grid indices (already resolved by
-/// the caller so it can also key the plan cache); only kVisualCloud applies
-/// it. Pure function of its arguments — the property the plan cache rests
-/// on.
-PlannedSegment ComputePlan(const VideoMetadata& metadata, int segment,
-                           StreamingApproach approach,
-                           const Orientation& predicted,
-                           const SessionOptions& options, double budget_bytes,
-                           const std::vector<int>& popular) {
+/// Computes the segment's per-tile qualities for the chosen approach, with
+/// their bytes (a uniform plan's are the segment's total at its rung) and
+/// budget-fitting downgrade count (0 when fitting did not run) — what the
+/// plan cache memoizes. `popular` is the popularity overlay as grid indices
+/// (already resolved by the caller so it can also key the plan cache); only
+/// kVisualCloud applies it. Pure function of its arguments — the property
+/// the plan cache rests on.
+PlanCache::Entry ComputePlan(const VideoMetadata& metadata, int segment,
+                             StreamingApproach approach,
+                             const Orientation& predicted,
+                             const SessionOptions& options,
+                             double budget_bytes,
+                             const std::vector<int>& popular) {
   const int lowest = metadata.quality_count() - 1;
   switch (approach) {
     case StreamingApproach::kMonolithicFull: {
-      return {TileQualityPlan(metadata.tile_count(),
-                              Clamp(options.high_quality, 0, lowest)),
-              0};
+      const int quality = Clamp(options.high_quality, 0, lowest);
+      return {TileQualityPlan(metadata.tile_count(), quality),
+              metadata.SegmentBytesAtQuality(segment, quality), 0};
     }
     case StreamingApproach::kUniformDash: {
       std::vector<uint64_t> sizes(metadata.quality_count());
@@ -102,7 +117,8 @@ PlannedSegment ComputePlan(const VideoMetadata& metadata, int segment,
       int quality = options.adaptive
                         ? PickQualityForBudget(sizes, budget_bytes)
                         : Clamp(options.high_quality, 0, lowest);
-      return {TileQualityPlan(metadata.tile_count(), quality), 0};
+      return {TileQualityPlan(metadata.tile_count(), quality), sizes[quality],
+              0};
     }
     case StreamingApproach::kVisualCloud:
     case StreamingApproach::kOracle: {
@@ -119,27 +135,22 @@ PlannedSegment ComputePlan(const VideoMetadata& metadata, int segment,
         int high = Clamp(options.high_quality, 0, lowest);
         for (int index : popular) plan[index] = high;
       }
-      int downgrades = 0;
-      if (options.adaptive) {
-        TileQualityPlan requested = plan;
-        plan = FitPlanToBudget(metadata, segment, std::move(plan), predicted,
-                               budget_bytes);
-        downgrades = CountDowngrades(requested, plan);
-      }
-      return {std::move(plan), downgrades};
+      return FitPlan(metadata, segment, std::move(plan), predicted, options,
+                     budget_bytes);
     }
   }
-  return {TileQualityPlan(metadata.tile_count(), lowest), 0};
+  return {TileQualityPlan(metadata.tile_count(), lowest),
+          metadata.SegmentBytesAtQuality(segment, lowest), 0};
 }
 
-/// Plans the segment's per-tile qualities, memoizing through
-/// `options.plan_cache` when one is wired in. The cached entry replays the
-/// downgrade metric, so observability is identical on a hit.
-TileQualityPlan PlanSegment(const VideoMetadata& metadata, int segment,
-                            StreamingApproach approach,
-                            const Orientation& predicted,
-                            const SessionOptions& options,
-                            double budget_bytes) {
+/// Plans the segment's per-tile qualities and their bytes, memoizing
+/// through `options.plan_cache` when one is wired in. The cached entry
+/// replays the downgrade metric, so observability is identical on a hit.
+PlanCache::Entry PlanSegment(const VideoMetadata& metadata, int segment,
+                             StreamingApproach approach,
+                             const Orientation& predicted,
+                             const SessionOptions& options,
+                             double budget_bytes) {
   // The popularity overlay is resolved once, up front: it both keys the
   // cache (the overlay is a plan input that changes as the shared model
   // learns) and feeds the computation, so PopularTiles runs once per plan
@@ -179,20 +190,20 @@ TileQualityPlan PlanSegment(const VideoMetadata& metadata, int segment,
     PlanCache::Entry entry;
     if (options.plan_cache->Lookup(key, &entry)) {
       DowngradeCounter()->Add(entry.downgrades);
-      return entry.plan;
+      return entry;
     }
-    PlannedSegment planned = ComputePlan(metadata, segment, approach,
-                                         predicted, options, budget_bytes,
-                                         popular);
-    DowngradeCounter()->Add(planned.downgrades);
-    options.plan_cache->Insert(key, {planned.plan, planned.downgrades});
-    return std::move(planned.plan);
+    entry = ComputePlan(metadata, segment, approach, predicted, options,
+                        budget_bytes, popular);
+    DowngradeCounter()->Add(entry.downgrades);
+    options.plan_cache->Insert(key, entry);
+    return entry;
   }
 
-  PlannedSegment planned = ComputePlan(metadata, segment, approach, predicted,
-                                       options, budget_bytes, popular);
+  PlanCache::Entry planned = ComputePlan(metadata, segment, approach,
+                                         predicted, options, budget_bytes,
+                                         popular);
   DowngradeCounter()->Add(planned.downgrades);
-  return std::move(planned.plan);
+  return planned;
 }
 
 }  // namespace
@@ -233,25 +244,26 @@ ClientSession::ClientSession(StorageManager* storage,
                              NetworkSimulator network,
                              std::unique_ptr<Predictor> predictor)
     : storage_(storage),
-      metadata_(metadata),
-      trace_(trace),
+      metadata_(&metadata),
+      known_segments_(metadata.segment_count()),
+      trace_(&trace),
       options_(options),
       reference_(reference),
       network_(std::move(network)),
       estimator_(0.3, options.network.bandwidth_bps * 0.5),
       predictor_(std::move(predictor)),
-      segment_seconds_(metadata_.segment_duration_seconds()),
-      fps_(metadata_.fps()),
-      media_duration_(metadata_.segments.back().start_frame / fps_ +
-                      metadata_.segments.back().frame_count / fps_),
+      segment_seconds_(metadata.segment_duration_seconds()),
+      fps_(metadata.fps()),
+      media_duration_(metadata.segments.back().start_frame / fps_ +
+                      metadata.segments.back().frame_count / fps_),
       feed_dt_(1.0 / options.feed_rate_hz),
       psnr_min_(kInfinitePsnr) {
   if (options_.live != nullptr) {
     // Join at the live edge: the newest published segment. Media time is
     // viewer-local from here on — the trace's t=0 is the join point.
-    start_segment_ = std::max(0, metadata_.segment_count() - 1);
+    start_segment_ = std::max(0, known_segments_ - 1);
     segment_ = start_segment_;
-    media_origin_ = metadata_.segments[start_segment_].start_frame / fps_;
+    media_origin_ = metadata.segments[start_segment_].start_frame / fps_;
     media_duration_ -= media_origin_;
   }
   stats_.approach = ApproachName(options_.approach);
@@ -277,17 +289,18 @@ ClientSession::~ClientSession() = default;
 
 int ClientSession::FinalSegmentCount() const {
   return options_.live != nullptr ? options_.live->final_segment_count()
-                                  : metadata_.segment_count();
+                                  : known_segments_;
 }
 
 void ClientSession::RefreshLiveMetadata() {
   if (options_.live == nullptr) return;
-  if (segment_ < metadata_.segment_count()) return;
+  if (segment_ < known_segments_) return;
   const VideoMetadata& snapshot = options_.live->snapshot();
-  if (snapshot.segment_count() <= metadata_.segment_count()) return;
-  metadata_ = snapshot;
-  media_duration_ = metadata_.segments.back().start_frame / fps_ +
-                    metadata_.segments.back().frame_count / fps_ -
+  if (snapshot.segment_count() <= known_segments_) return;
+  metadata_ = &snapshot;
+  known_segments_ = snapshot.segment_count();
+  const SegmentInfo& last = snapshot.segments[known_segments_ - 1];
+  media_duration_ = last.start_frame / fps_ + last.frame_count / fps_ -
                     media_origin_;
   stats_.duration_seconds = media_duration_;
 }
@@ -302,8 +315,8 @@ double ClientSession::NextDeadline() const {
     // known, else from the uniform layout (start_frame is always
     // segment × frames_per_segment — only the final frame_count varies).
     double media_start =
-        segment_ < metadata_.segment_count()
-            ? metadata_.segments[segment_].start_frame / fps_
+        segment_ < known_segments_
+            ? metadata_->segments[segment_].start_frame / fps_
             : segment_ * segment_seconds_;
     double earliest = play_start_ + stall_total_ +
                       (media_start - media_origin_) -
@@ -324,7 +337,7 @@ PrefetchHint ClientSession::NextPrefetchHint() const {
   // At the live edge the next segment is not published yet: its cell files
   // do not exist, so there is nothing to warm — and speculatively touching
   // them would race the ingest pipeline. No hint until it lands.
-  if (options_.live != nullptr && segment_ >= metadata_.segment_count()) {
+  if (options_.live != nullptr && segment_ >= known_segments_) {
     return hint;
   }
 
@@ -333,7 +346,7 @@ PrefetchHint ClientSession::NextPrefetchHint() const {
   // forecast is made with the orientations fed so far; by the time Step()
   // runs the predictor will have seen more — that gap is exactly the
   // uncertainty real prefetching lives with.
-  const SegmentInfo& info = metadata_.segments[segment_];
+  const SegmentInfo& info = metadata_->segments[segment_];
   const double media_start = info.start_frame / fps_ - media_origin_;
   const double media_mid = media_start + info.frame_count / fps_ / 2.0;
   double media_now = 0.0;
@@ -345,7 +358,7 @@ PrefetchHint ClientSession::NextPrefetchHint() const {
   hint.valid = true;
   hint.segment = segment_;
   if (options_.approach == StreamingApproach::kOracle) {
-    hint.predicted = trace_.At(media_mid);
+    hint.predicted = trace_->At(media_mid);
   } else {
     hint.predicted = predictor_->Predict(std::max(0.0, media_mid - media_now));
   }
@@ -361,12 +374,13 @@ Status ClientSession::Step(double now) {
   if (done_) return Status::Aborted("session already complete");
   if (now > wall_) wall_ = now;
   RefreshLiveMetadata();
-  if (segment_ >= metadata_.segment_count()) {
+  if (segment_ >= known_segments_) {
     return Status::Aborted("segment not published yet");
   }
 
+  const VideoMetadata& metadata = *metadata_;
   const int segment = segment_;
-  const SegmentInfo& info = metadata_.segments[segment];
+  const SegmentInfo& info = metadata.segments[segment];
   // Viewer-local media time (origin 0 offline, the join point live).
   const double media_start = info.start_frame / fps_ - media_origin_;
   const double media_mid = media_start + info.frame_count / fps_ / 2.0;
@@ -383,7 +397,7 @@ Status ClientSession::Step(double now) {
   // report up to "now".
   for (double t = (last_fed_ < 0 ? 0.0 : last_fed_ + feed_dt_);
        t <= media_now; t += feed_dt_) {
-    Orientation seen = trace_.At(t);
+    Orientation seen = trace_->At(t, &feed_cursor_);
     predictor_->Observe(t, seen);
     if (options_.popularity_sink != nullptr) {
       // The shared model is indexed by stream media time, so mid-join
@@ -393,10 +407,14 @@ Status ClientSession::Step(double now) {
     last_fed_ = t;
   }
 
+  // Where the viewer actually looks mid-segment: the oracle's plan centre
+  // and the in-view accounting's ground truth.
+  const Orientation actual = trace_->At(media_mid);
+
   // Orientation the plan is built around.
   Orientation predicted;
   if (options_.approach == StreamingApproach::kOracle) {
-    predicted = trace_.At(media_mid);
+    predicted = actual;
   } else {
     double lookahead = std::max(0.0, media_mid - media_now);
     predicted = predictor_->Predict(lookahead);
@@ -405,7 +423,7 @@ Status ClientSession::Step(double now) {
   double budget =
       SegmentByteBudget(estimator_.estimate_bps(), segment_seconds_,
                         options_.budget_safety);
-  TileQualityPlan plan;
+  PlanCache::Entry planned;
   {
     ScopedTimer plan_timer(plan_seconds_);
     if (options_.approach == StreamingApproach::kOracle) {
@@ -417,30 +435,28 @@ Status ClientSession::Step(double now) {
       assignment.fov_pitch = options_.viewport.fov_pitch;
       assignment.margin = 0.0;
       assignment.high_quality = options_.high_quality;
-      plan.assign(metadata_.tile_count(), metadata_.quality_count() - 1);
+      TileQualityPlan plan(metadata.tile_count(), metadata.quality_count() - 1);
       for (double fraction : {0.0, 0.25, 0.5, 0.75, 1.0}) {
         double t = media_start + fraction * segment_seconds_;
         TileQualityPlan at_t =
-            AssignTileQualities(metadata_, trace_.At(t), assignment);
-        for (int i = 0; i < metadata_.tile_count(); ++i) {
+            AssignTileQualities(metadata, trace_->At(t), assignment);
+        for (int i = 0; i < metadata.tile_count(); ++i) {
           plan[i] = std::min(plan[i], at_t[i]);
         }
       }
-      if (options_.adaptive) {
-        TileQualityPlan requested = plan;
-        plan = FitPlanToBudget(metadata_, segment, std::move(plan), predicted,
-                               budget);
-        DowngradeCounter()->Add(CountDowngrades(requested, plan));
-      }
+      planned = FitPlan(metadata, segment, std::move(plan), predicted,
+                        options_, budget);
+      DowngradeCounter()->Add(planned.downgrades);
     } else {
-      plan = PlanSegment(metadata_, segment, options_.approach, predicted,
-                         options_, budget);
+      planned = PlanSegment(metadata, segment, options_.approach, predicted,
+                            options_, budget);
     }
   }
+  TileQualityPlan& plan = planned.plan;
+  uint64_t bytes = planned.bytes;
   segments_streamed_->Add();
 
-  const int lowest = metadata_.quality_count() - 1;
-  uint64_t bytes = PlanBytes(metadata_, segment, plan);
+  const int lowest = metadata.quality_count() - 1;
   TransferResult transfer = network_.Transfer(wall_, bytes);
   bool delivered = true;
   bool skipped = false;
@@ -453,7 +469,7 @@ Status ClientSession::Step(double now) {
     transfer_faults_->Add();
     wall_ = transfer.completion_time;
     for (int& q : plan) q = std::min(q + 1, lowest);
-    bytes = PlanBytes(metadata_, segment, plan);
+    bytes = PlanBytes(metadata, segment, plan);
     ++stats_.transfer_retries;
     transfer_retries_->Add();
     transfer = network_.Transfer(wall_, bytes);
@@ -494,15 +510,14 @@ Status ClientSession::Step(double now) {
   if (options_.fetch_cells && delivered) {
     CellSource* source =
         options_.cell_source != nullptr ? options_.cell_source : storage_;
-    VC_RETURN_IF_ERROR(source->ReadPlannedCells(metadata_, segment, plan));
+    VC_RETURN_IF_ERROR(source->ReadPlannedCells(metadata, segment, plan));
   }
 
   // In-view quality bookkeeping: the rung the viewer actually sees (the
   // lowest rung when the segment was skipped — the player shows stale or
   // minimal detail).
   {
-    TileGrid grid = metadata_.tile_grid();
-    Orientation actual = trace_.At(media_mid);
+    TileGrid grid = metadata.tile_grid();
     grid.VisitTilesInViewport(
         actual, options_.viewport.fov_yaw, options_.viewport.fov_pitch,
         [&](int index) {
@@ -527,17 +542,17 @@ Status ClientSession::Step(double now) {
   if (options_.evaluate_quality && delivered) {
     std::vector<Frame> dframes;
     VC_ASSIGN_OR_RETURN(
-        dframes, ReconstructSegment(storage_, metadata_, segment, plan));
+        dframes, ReconstructSegment(storage_, metadata, segment, plan));
     int step = std::max(1, static_cast<int>(info.frame_count) /
                                options_.eval_frames_per_segment);
     for (int k = step / 2; k < static_cast<int>(info.frame_count); k += step) {
       int frame_index = static_cast<int>(info.start_frame) + k;
       double media_t = frame_index / fps_ - media_origin_;
-      Orientation actual = trace_.At(media_t);
+      Orientation gaze = trace_->At(media_t);
       Frame original = reference_->FrameAt(frame_index);
       double psnr;
       VC_ASSIGN_OR_RETURN(
-          psnr, ViewportPsnr(original, dframes[k], actual, options_.viewport));
+          psnr, ViewportPsnr(original, dframes[k], gaze, options_.viewport));
       psnr_sum_ += psnr;
       psnr_min_ = std::min(psnr_min_, psnr);
       ++stats_.quality_samples;

@@ -63,8 +63,10 @@ class LiveAvailability {
   virtual int final_segment_count() const = 0;
 
   /// Metadata of the newest published checkpoint: it only ever grows
-  /// (segments/cells append; layout fields never change). Sessions refresh
-  /// their own copy from this when they exhaust it at the live edge.
+  /// (segments/cells append; layout fields never change) and keeps its
+  /// address for the feed's lifetime. Sessions read it in place and stream
+  /// only the segments they last saw published; they look again when they
+  /// exhaust those at the live edge.
   virtual const VideoMetadata& snapshot() const = 0;
 };
 
@@ -128,9 +130,10 @@ struct SessionOptions {
   /// session). When set the session joins at the live edge: playback
   /// starts at the newest published segment, NextDeadline() never precedes
   /// a segment's publish time (waiting at the edge surfaces as ordinary
-  /// pacing, and a late publish as a stall), the session refreshes its
-  /// metadata from `live->snapshot()` as the catalog grows, and it runs
-  /// until the feed's final segment.
+  /// pacing, and a late publish as a stall), the session switches to
+  /// reading `live->snapshot()` and extends its known segment count from
+  /// it when it reaches the end of what it knows, and it runs until the
+  /// feed's final segment.
   const LiveAvailability* live = nullptr;
 
   Status Validate() const;
@@ -152,13 +155,23 @@ struct SessionOptions {
 /// Not thread-safe; a server steps each session from its scheduler thread.
 class ClientSession {
  public:
-  /// Validates options and builds a session. `metadata` and `trace` are
-  /// copied; `storage` and `reference` (required only when
-  /// `options.evaluate_quality` is set) must outlive the session.
+  /// Validates options and builds a session. The session keeps only its
+  /// own per-viewer state: `metadata`, `trace`, `storage` and `reference`
+  /// (required only when `options.evaluate_quality` is set) are read in
+  /// place and must outlive the session. `options` is copied. Passing a
+  /// temporary metadata or trace does not compile.
   static Result<std::unique_ptr<ClientSession>> Create(
       StorageManager* storage, const VideoMetadata& metadata,
       const HeadTrace& trace, const SessionOptions& options,
       const SceneGenerator* reference = nullptr);
+  static Result<std::unique_ptr<ClientSession>> Create(
+      StorageManager* storage, const VideoMetadata& metadata,
+      const HeadTrace&& trace, const SessionOptions& options,
+      const SceneGenerator* reference = nullptr) = delete;
+  static Result<std::unique_ptr<ClientSession>> Create(
+      StorageManager* storage, const VideoMetadata&& metadata,
+      const HeadTrace& trace, const SessionOptions& options,
+      const SceneGenerator* reference = nullptr) = delete;
 
   ~ClientSession();
 
@@ -187,12 +200,16 @@ class ClientSession {
   double wall_seconds() const { return wall_; }
   /// Index of the segment the next Step() will stream.
   int next_segment() const { return segment_; }
-  int segment_count() const { return metadata_.segment_count(); }
+  /// Segments the session knows of: the catalog's count offline; live, the
+  /// published count when the session last looked at the feed.
+  int segment_count() const { return known_segments_; }
   /// The segment playback started at: 0 offline, the live-edge join point
   /// for a session created against a LiveAvailability.
   int start_segment() const { return start_segment_; }
   const SessionOptions& options() const { return options_; }
-  const VideoMetadata& metadata() const { return metadata_; }
+  /// The catalog entry the session reads: the one passed to Create, or
+  /// the live feed's snapshot once the session has looked at the feed.
+  const VideoMetadata& metadata() const { return *metadata_; }
 
  private:
   ClientSession(StorageManager* storage, const VideoMetadata& metadata,
@@ -200,7 +217,7 @@ class ClientSession {
                 const SceneGenerator* reference, NetworkSimulator network,
                 std::unique_ptr<Predictor> predictor);
 
-  /// Pulls newly published segments from the live snapshot when the
+  /// Extends the known segment count from the live snapshot when the
   /// session has streamed everything it knows about. No-op offline.
   void RefreshLiveMetadata();
 
@@ -211,8 +228,16 @@ class ClientSession {
   void Finalize();
 
   StorageManager* storage_;
-  VideoMetadata metadata_;
-  HeadTrace trace_;
+  const VideoMetadata* metadata_;
+  /// Segments of `*metadata_` this session may plan, fetch or prefetch.
+  /// Live, the snapshot may already hold more: they become known only at
+  /// the next RefreshLiveMetadata(), so the session's behaviour does not
+  /// depend on when the feed publishes between its steps.
+  int known_segments_;
+  const HeadTrace* trace_;
+  /// Trace cursor of the predictor feed, whose query times only move
+  /// forward.
+  size_t feed_cursor_ = 0;
   SessionOptions options_;
   const SceneGenerator* reference_;
   NetworkSimulator network_;

@@ -33,10 +33,13 @@ uint64_t PlanBytes(const VideoMetadata& metadata, int segment,
 TileQualityPlan FitPlanToBudget(const VideoMetadata& metadata, int segment,
                                 TileQualityPlan plan,
                                 const Orientation& predicted,
-                                double budget_bytes) {
+                                double budget_bytes, uint64_t* plan_bytes) {
   uint64_t bytes = PlanBytes(metadata, segment, plan);
   // A plan that already fits needs no ordering: skip the trig and the sort.
-  if (static_cast<double>(bytes) <= budget_bytes) return plan;
+  if (static_cast<double>(bytes) <= budget_bytes) {
+    *plan_bytes = bytes;
+    return plan;
+  }
 
   TileGrid grid = metadata.tile_grid();
   const int lowest = metadata.quality_count() - 1;
@@ -70,6 +73,7 @@ TileQualityPlan FitPlanToBudget(const VideoMetadata& metadata, int segment,
     }
     if (!degraded) break;  // everything already at the lowest rung
   }
+  *plan_bytes = bytes;
   return plan;
 }
 

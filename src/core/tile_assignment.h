@@ -33,11 +33,12 @@ uint64_t PlanBytes(const VideoMetadata& metadata, int segment,
 /// Degrades `plan` until it fits `budget_bytes` (or every tile is at the
 /// lowest rung). Tiles are degraded one rung at a time, farthest-from-gaze
 /// first, so the fovea keeps quality the longest — this is the adaptive
-/// half of VisualCloud's predictive streaming.
+/// half of VisualCloud's predictive streaming. `*plan_bytes` receives
+/// PlanBytes of the returned plan, which fitting tracks anyway.
 TileQualityPlan FitPlanToBudget(const VideoMetadata& metadata, int segment,
                                 TileQualityPlan plan,
                                 const Orientation& predicted,
-                                double budget_bytes);
+                                double budget_bytes, uint64_t* plan_bytes);
 
 }  // namespace vc
 

@@ -28,15 +28,30 @@ Result<HeadTrace> HeadTrace::FromSamples(std::vector<TraceSample> samples) {
 }
 
 Orientation HeadTrace::At(double t) const {
+  size_t cursor = samples_.size();  // out of range: a plain binary search
+  return At(t, &cursor);
+}
+
+Orientation HeadTrace::At(double t, size_t* cursor) const {
   if (samples_.empty()) return Orientation{};
-  if (t <= samples_.front().t) return samples_.front().orientation;
+  // Written so NaN clamps too: it would otherwise reach the search and
+  // bracket before the first sample.
+  if (!(t > samples_.front().t)) return samples_.front().orientation;
   if (t >= samples_.back().t) return samples_.back().orientation;
-  // Binary search for the bracketing pair.
-  auto it = std::lower_bound(
-      samples_.begin(), samples_.end(), t,
-      [](const TraceSample& s, double value) { return s.t < value; });
-  const TraceSample& hi = *it;
-  const TraceSample& lo = *(it - 1);
+  // The pair is (hi - 1, hi) with hi the first sample at or after t. Here
+  // samples_[0].t < t < samples_.back().t, so hi lies in [1, size).
+  size_t hi_index = std::max<size_t>(*cursor, 1);
+  if (hi_index >= samples_.size() || samples_[hi_index - 1].t >= t) {
+    auto it = std::lower_bound(
+        samples_.begin(), samples_.end(), t,
+        [](const TraceSample& s, double value) { return s.t < value; });
+    hi_index = static_cast<size_t>(it - samples_.begin());
+  } else {
+    while (samples_[hi_index].t < t) ++hi_index;  // ends at the last sample
+  }
+  *cursor = hi_index;
+  const TraceSample& hi = samples_[hi_index];
+  const TraceSample& lo = samples_[hi_index - 1];
   double f = (t - lo.t) / (hi.t - lo.t);
   // Shortest-path interpolation in yaw, linear in pitch.
   double dyaw = YawDifference(hi.orientation.yaw, lo.orientation.yaw);

@@ -31,8 +31,17 @@ class HeadTrace {
   static Result<HeadTrace> FromSamples(std::vector<TraceSample> samples);
 
   /// Orientation at time `t`, interpolating between samples (shortest-path
-  /// in yaw, linear in pitch) and clamping outside the sampled range.
+  /// in yaw, linear in pitch) and clamping outside the sampled range. A NaN
+  /// `t` clamps to the first sample.
   Orientation At(double t) const;
+
+  /// At(t) for a caller whose query times mostly move forward: the search
+  /// for the bracketing pair walks forward from `*cursor` and leaves it
+  /// there for the next call, falling back to a binary search when `t`
+  /// moves backwards or the cursor is out of range. The pair is the same
+  /// as At(t)'s, so the result is bit-identical. A cursor starts at 0 and
+  /// belongs to one trace.
+  Orientation At(double t, size_t* cursor) const;
 
   double duration() const {
     return samples_.empty() ? 0.0 : samples_.back().t;

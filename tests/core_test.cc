@@ -251,19 +251,22 @@ TEST_F(CoreTest, PlanBytesAndBudgetFitting) {
   EXPECT_GT(bytes, 0u);
 
   // A tiny budget forces everything to the lowest rung.
-  TileQualityPlan squeezed =
-      FitPlanToBudget(*metadata, 0, plan, gaze, /*budget=*/1.0);
+  uint64_t fitted_bytes = 0;
+  TileQualityPlan squeezed = FitPlanToBudget(*metadata, 0, plan, gaze,
+                                             /*budget=*/1.0, &fitted_bytes);
   for (int q : squeezed) {
     EXPECT_EQ(q, metadata->quality_count() - 1);
   }
+  EXPECT_EQ(fitted_bytes, PlanBytes(*metadata, 0, squeezed));
   // A huge budget leaves the plan untouched.
   TileQualityPlan untouched =
-      FitPlanToBudget(*metadata, 0, plan, gaze, 1e12);
+      FitPlanToBudget(*metadata, 0, plan, gaze, 1e12, &fitted_bytes);
   EXPECT_EQ(untouched, plan);
+  EXPECT_EQ(fitted_bytes, bytes);
   // Degradation hits far-from-gaze tiles before the gaze tile.
   uint64_t mid_budget = bytes - 1;
   TileQualityPlan degraded =
-      FitPlanToBudget(*metadata, 0, plan, gaze, mid_budget);
+      FitPlanToBudget(*metadata, 0, plan, gaze, mid_budget, &fitted_bytes);
   TileGrid grid = metadata->tile_grid();
   EXPECT_EQ(degraded[grid.IndexOf(grid.TileFor(gaze))], 0);
 }
@@ -311,17 +314,22 @@ TEST_F(CoreTest, FitPlanToBudgetMatchesReferenceAndKeepsFittingPlans) {
         const double floor = static_cast<double>(PlanBytes(
             *metadata, segment, TileQualityPlan(plan.size(), lowest)));
         // Within budget, down to exactly the plan's size: untouched.
+        // Either way the reported bytes are the returned plan's.
+        uint64_t fitted_bytes = 0;
         for (double budget : {bytes, bytes + 1.0, 1e12}) {
-          EXPECT_EQ(FitPlanToBudget(*metadata, segment, plan, gaze, budget),
+          EXPECT_EQ(FitPlanToBudget(*metadata, segment, plan, gaze, budget,
+                                    &fitted_bytes),
                     plan);
+          EXPECT_EQ(static_cast<double>(fitted_bytes), bytes);
         }
         // Over budget, from just under the plan to below the lowest rung.
         for (double budget :
              {bytes - 1.0, (bytes + floor) / 2, floor, floor - 1.0, 1.0}) {
-          TileQualityPlan fitted =
-              FitPlanToBudget(*metadata, segment, plan, gaze, budget);
+          TileQualityPlan fitted = FitPlanToBudget(*metadata, segment, plan,
+                                                   gaze, budget, &fitted_bytes);
           EXPECT_EQ(fitted, ReferenceFitPlanToBudget(*metadata, segment, plan,
                                                      gaze, budget));
+          EXPECT_EQ(fitted_bytes, PlanBytes(*metadata, segment, fitted));
           ++over_budget;
         }
       }
@@ -906,6 +914,37 @@ TEST_F(CoreTest, PlanCacheKeepsSessionsByteIdentical) {
   PlanCache::Stats stats = cache.stats();
   EXPECT_GE(stats.hits, static_cast<uint64_t>(metadata->segment_count()));
   EXPECT_GT(stats.misses, 0u);
+}
+
+TEST_F(CoreTest, PlanCacheEntryCarriesPlanBytes) {
+  // A hit transfers the bytes the entry carries instead of recounting
+  // them: on the budget-fitted path and the uniform one, a run served
+  // entirely from cache hits must send exactly the uncached bytes.
+  auto metadata = db_->Describe("venice");
+  ASSERT_TRUE(metadata.ok());
+  HeadTrace trace = MakeTrace();
+  for (StreamingApproach approach :
+       {StreamingApproach::kVisualCloud, StreamingApproach::kUniformDash}) {
+    SCOPED_TRACE(ApproachName(approach));
+    SessionOptions plain = BaseSession(approach);
+    plain.network.bandwidth_bps = 2e6;  // budget fitting runs
+    auto uncached = SimulateSession(db_->storage(), *metadata, trace, plain);
+    ASSERT_TRUE(uncached.ok());
+
+    PlanCache cache;
+    SessionOptions cached_options = plain;
+    cached_options.plan_cache = &cache;
+    for (int run = 0; run < 2; ++run) {  // the second run is all hits
+      auto cached = SimulateSession(db_->storage(), *metadata, trace,
+                                    cached_options);
+      ASSERT_TRUE(cached.ok());
+      EXPECT_EQ(cached->bytes_sent, uncached->bytes_sent);
+      EXPECT_EQ(cached->stall_seconds, uncached->stall_seconds);
+      EXPECT_EQ(cached->mean_inview_quality, uncached->mean_inview_quality);
+    }
+    EXPECT_GE(cache.stats().hits,
+              static_cast<uint64_t>(metadata->segment_count()));
+  }
 }
 
 TEST_F(CoreTest, PlanCacheServesUniformDash) {

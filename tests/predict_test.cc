@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <random>
+#include <vector>
 
 #include "predict/accuracy.h"
 #include "predict/head_trace.h"
@@ -40,6 +44,106 @@ TEST(HeadTraceTest, InterpolatesAcrossYawSeam) {
   // Midpoint is the seam itself, not yaw π.
   Orientation mid = trace->At(0.5);
   EXPECT_LT(std::min(mid.yaw, kTwoPi - mid.yaw), 0.01);
+}
+
+/// Bitwise equality: NaN payloads and signed zeros count, EXPECT_EQ's
+/// numeric comparison would not see them.
+bool SameBits(const Orientation& a, const Orientation& b) {
+  return std::memcmp(&a.yaw, &b.yaw, sizeof(double)) == 0 &&
+         std::memcmp(&a.pitch, &b.pitch, sizeof(double)) == 0;
+}
+
+/// HeadTrace::At as a standalone binary search over the samples (NaN
+/// clamps to the first sample): the reference both At overloads must match
+/// bit for bit.
+Orientation ReferenceAt(const HeadTrace& trace, double t) {
+  const std::vector<TraceSample>& samples = trace.samples();
+  if (!(t > samples.front().t)) return samples.front().orientation;
+  if (t >= samples.back().t) return samples.back().orientation;
+  auto it = std::lower_bound(
+      samples.begin(), samples.end(), t,
+      [](const TraceSample& s, double value) { return s.t < value; });
+  const TraceSample& hi = *it;
+  const TraceSample& lo = *(it - 1);
+  double f = (t - lo.t) / (hi.t - lo.t);
+  double dyaw = YawDifference(hi.orientation.yaw, lo.orientation.yaw);
+  Orientation out;
+  out.yaw = WrapYaw(lo.orientation.yaw + f * dyaw);
+  out.pitch = ClampPitch(lo.orientation.pitch +
+                         f * (hi.orientation.pitch - lo.orientation.pitch));
+  return out;
+}
+
+TEST(HeadTraceTest, CursorMatchesBinarySearch) {
+  // An irregularly sampled trace that crosses the yaw seam and sweeps
+  // pitch, so every interpolation branch runs.
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> gap(0.005, 0.06);
+  std::uniform_real_distribution<double> step(-0.3, 0.3);
+  std::vector<TraceSample> samples;
+  double t = 0.25;
+  double yaw = kTwoPi - 0.5;
+  for (int i = 0; i < 400; ++i) {
+    samples.push_back({t, {yaw, 0.3 + 2.5 * (i % 50) / 50.0}});
+    t += gap(rng);
+    yaw = WrapYaw(yaw + step(rng));
+  }
+  auto trace = HeadTrace::FromSamples(samples);
+  ASSERT_TRUE(trace.ok());
+  const double end = trace->duration();
+
+  auto expect_cursor_matches = [&](const std::vector<double>& times,
+                                   const char* label) {
+    size_t cursor = 0;
+    for (double q : times) {
+      const Orientation expected = ReferenceAt(*trace, q);
+      ASSERT_TRUE(SameBits(trace->At(q, &cursor), expected))
+          << label << " t=" << q;
+      ASSERT_TRUE(SameBits(trace->At(q), expected)) << label << " t=" << q;
+    }
+  };
+
+  std::vector<double> sweep;  // 30 Hz feed, the session's query stream
+  for (double q = 0.0; q <= end + 0.5; q += 1.0 / 30.0) sweep.push_back(q);
+  expect_cursor_matches(sweep, "30 Hz sweep");
+
+  std::vector<double> exact;  // every sample time, forward
+  for (const TraceSample& sample : trace->samples()) exact.push_back(sample.t);
+  expect_cursor_matches(exact, "exact sample times");
+
+  // Outside the sampled range, on both sides, between in-range queries.
+  // NaN clamps to the first sample.
+  const double nan = std::nan("");
+  expect_cursor_matches({-1.0, 0.0, 0.25, 1.0, end, end + 3.0, 0.1, 2.0,
+                         std::nextafter(end, 0.0), nan, 0.3, nan},
+                        "clamped ends");
+  EXPECT_TRUE(SameBits(trace->At(nan), trace->samples().front().orientation));
+
+  // Backward jumps of every size, then random order.
+  std::vector<double> jumps;
+  for (double q = end; q > 0.25; q -= 0.37) {
+    jumps.push_back(q);
+    jumps.push_back(q - 0.001);
+    jumps.push_back(std::max(0.3, q - 2.0));
+  }
+  expect_cursor_matches(jumps, "backward jumps");
+  std::uniform_real_distribution<double> any(-0.5, end + 0.5);
+  std::vector<double> shuffled(5000);
+  for (double& q : shuffled) q = any(rng);
+  expect_cursor_matches(shuffled, "random order");
+
+  // A cursor left past the end of a shorter trace falls back cleanly.
+  size_t stale = 100000;
+  EXPECT_TRUE(SameBits(trace->At(1.0, &stale), ReferenceAt(*trace, 1.0)));
+
+  // A one-sample trace clamps every query to its one orientation.
+  auto single = HeadTrace::FromSamples({{0.5, {1.0, 1.2}}});
+  ASSERT_TRUE(single.ok());
+  size_t cursor = 0;
+  for (double q : {0.0, 0.5, 0.7, 0.2, 9.0}) {
+    EXPECT_TRUE(SameBits(single->At(q, &cursor), ReferenceAt(*single, q)))
+        << q;
+  }
 }
 
 TEST(HeadTraceTest, CsvRoundTrip) {

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/env.h"
@@ -141,12 +142,41 @@ TEST_F(ServerTest, WrapperMatchesManualStepLoop) {
   EXPECT_TRUE((*client)->Step((*client)->wall_seconds() + 1).IsAborted());
 }
 
+// Create reads its catalog entry and trace in place, so a temporary for
+// either must not compile.
+template <typename Metadata, typename Trace>
+constexpr bool kCreateAccepts =
+    requires(StorageManager* storage, const SessionOptions& options) {
+      ClientSession::Create(storage, std::declval<Metadata>(),
+                            std::declval<Trace>(), options);
+    };
+static_assert(kCreateAccepts<const VideoMetadata&, const HeadTrace&>);
+static_assert(!kCreateAccepts<const VideoMetadata&, HeadTrace>);
+static_assert(!kCreateAccepts<VideoMetadata, const HeadTrace&>);
+static_assert(!kCreateAccepts<VideoMetadata, HeadTrace>);
+
+TEST_F(ServerTest, SessionsShareCatalogAndTrace) {
+  // A session keeps only per-viewer state: it reads the caller's catalog
+  // entry and trace in place, with no copy of either.
+  VideoMetadata metadata = Metadata();
+  HeadTrace trace = MakeTrace(0.3);
+  auto client = ClientSession::Create(db_->storage(), metadata, trace,
+                                      BaseSession());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  EXPECT_EQ(&(*client)->metadata(), &metadata);
+  while (!(*client)->done()) {
+    ASSERT_TRUE((*client)->Step((*client)->NextDeadline()).ok());
+    EXPECT_EQ(&(*client)->metadata(), &metadata);
+  }
+}
+
 TEST_F(ServerTest, DeadlinePacingHoldsDownloads) {
   VideoMetadata metadata = Metadata();
+  HeadTrace trace = MakeTrace(0.3);
   SessionOptions options = BaseSession();
   options.buffer_ahead_seconds = 0.5;
   auto client =
-      ClientSession::Create(db_->storage(), metadata, MakeTrace(0.3), options);
+      ClientSession::Create(db_->storage(), metadata, trace, options);
   ASSERT_TRUE(client.ok());
 
   // Before playback starts the session is ready immediately.
@@ -647,6 +677,90 @@ TEST_F(ServerTest, LiveViewersJoinAtTheLiveEdge) {
   EXPECT_EQ(overlay.publish_times_ms[0], 1200);
   EXPECT_EQ(overlay.publish_times_ms[3], 4200);
   ASSERT_TRUE(db_->Drop("live_edge_feed").ok());
+}
+
+/// A hand-published live stream over the fixture's catalog entry:
+/// Publish(n) makes the first n segments visible, replacing the snapshot's
+/// vectors (so a session holding on to the old ones would read freed
+/// memory). Every segment counts as published at t = 0, so a session over
+/// it paces exactly like an offline one.
+class ManualLiveFeed : public LiveAvailability {
+ public:
+  explicit ManualLiveFeed(VideoMetadata full)
+      : full_(std::move(full)), snapshot_(full_) {
+    Publish(0);
+  }
+
+  void Publish(int segments) {
+    snapshot_.segments = std::vector<SegmentInfo>(
+        full_.segments.begin(), full_.segments.begin() + segments);
+    snapshot_.cells = std::vector<CellInfo>(
+        full_.cells.begin(),
+        full_.cells.begin() + full_.CellIndex(segments, 0, 0));
+  }
+
+  int published_segments() const override {
+    return snapshot_.segment_count();
+  }
+  double PublishTimeOf(int) const override { return 0.0; }
+  int final_segment_count() const override { return full_.segment_count(); }
+  const VideoMetadata& snapshot() const override { return snapshot_; }
+
+ private:
+  const VideoMetadata full_;
+  VideoMetadata snapshot_;
+};
+
+TEST_F(ServerTest, LiveSessionStopsAtItsRefreshPoint) {
+  // A live session reads the feed's snapshot in place but plans, fetches
+  // and prefetches only the segments it saw published when it last looked
+  // (at the live edge). Segments the feed publishes in between stay
+  // invisible until then, so the outcome cannot depend on publish timing:
+  // served like this, a stream published at t = 0 equals the same video
+  // served offline.
+  const VideoMetadata metadata = Metadata();
+  ASSERT_EQ(metadata.segment_count(), 4);
+  HeadTrace trace = MakeTrace(0.3);
+  SessionOptions offline = BaseSession();
+  offline.fetch_cells = true;
+  auto expected = SimulateSession(db_->storage(), metadata, trace, offline);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  ManualLiveFeed feed(metadata);
+  feed.Publish(1);
+  SessionOptions live = offline;
+  live.live = &feed;
+  auto client = ClientSession::Create(db_->storage(), feed.snapshot(), trace,
+                                      live);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ClientSession& session = **client;
+  EXPECT_EQ(&session.metadata(), &feed.snapshot());
+  EXPECT_EQ(session.start_segment(), 0);
+  EXPECT_EQ(session.segment_count(), 1);
+  auto step = [&] { ASSERT_TRUE(session.Step(session.NextDeadline()).ok()); };
+
+  step();  // segment 0
+  feed.Publish(3);
+  // Published, but past the session's refresh point: not yet its to use.
+  EXPECT_EQ(session.segment_count(), 1);
+  EXPECT_FALSE(session.NextPrefetchHint().valid);
+
+  step();  // at the edge: looks again, sees 3 segments, streams segment 1
+  EXPECT_EQ(session.segment_count(), 3);
+  PrefetchHint hint = session.NextPrefetchHint();
+  EXPECT_TRUE(hint.valid);
+  EXPECT_EQ(hint.segment, 2);
+  feed.Publish(4);
+
+  step();  // segment 2: still inside what it knows, so no new look
+  EXPECT_EQ(session.segment_count(), 3);
+  EXPECT_FALSE(session.NextPrefetchHint().valid);
+
+  step();  // segment 3, after looking again
+  EXPECT_EQ(session.segment_count(), 4);
+  EXPECT_TRUE(session.done());
+  EXPECT_EQ(&session.metadata(), &feed.snapshot());
+  ExpectSameStats(session.stats(), *expected);
 }
 
 TEST_F(ServerTest, LiveFeedDegradesToStayUnderLagBudget) {
