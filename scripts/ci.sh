@@ -42,15 +42,19 @@ tsan() {
   echo "== tsan: ThreadSanitizer on the concurrency-prone suites =="
   cmake -B build-tsan -S . -DVC_SANITIZE=thread
   cmake --build build-tsan -j"$JOBS" \
-    --target server_test storage_test query_test obs_test common_test
+    --target server_test storage_test query_test obs_test common_test \
+    view_test
   # Where races would live: the single-flight/async cache loader (including
-  # oversize rejection and prefetch attribution under concurrency), the
-  # tiered L1/L2 path through the sharded store, the prefetcher, the
-  # multi-session server scheduler, the batched planned-cell reads (one
-  # cache pass per segment, misses on the I/O pool, a prefetcher racing
-  # them), the query executor's batched async cell fetches, and the sharded
+  # oversize rejection and prefetch attribution under concurrency), the one
+  # cell-read path (TieredCellSource) through a store and through the
+  # sharded store's L1/L2 tiers, the prefetcher, the multi-session server
+  # scheduler, the batched planned-cell reads (one cache pass per segment,
+  # misses on the I/O pool, a prefetcher racing them), the query executor's
+  # batched async cell fetches, the view maintainer's async cell reads (its
+  # standing-query scenario runs with io_threads > 0), and the sharded
   # metrics registry.
-  for t in server_test storage_test query_test obs_test common_test; do
+  for t in server_test storage_test query_test obs_test common_test \
+      view_test; do
     echo "-- tsan: $t"
     ./build-tsan/tests/"$t"
   done

@@ -47,11 +47,6 @@ Counter* RejectedOversizeCounter() {
       MetricRegistry::Global().GetCounter("cache.rejected_oversize");
   return counter;
 }
-Counter* AdmissionRejectCounter() {
-  static Counter* counter =
-      MetricRegistry::Global().GetCounter("cache.l2_admission_rejects");
-  return counter;
-}
 
 }  // namespace
 
@@ -85,10 +80,7 @@ Result<LruCache::Value> LruCache::AsyncHandle::Wait() const {
   return state_->value;
 }
 
-LruCache::LruCache(size_t capacity_bytes)
-    : LruCache(LruCacheOptions{capacity_bytes}) {}
-
-LruCache::LruCache(const LruCacheOptions& options) : options_(options) {}
+LruCache::LruCache(size_t capacity_bytes) : capacity_bytes_(capacity_bytes) {}
 
 LruCache::Value LruCache::Get(PackedCellKey key) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -114,13 +106,12 @@ void LruCache::Put(PackedCellKey key, Value value) {
 }
 
 Result<LruCache::Value> LruCache::GetOrCompute(
-    PackedCellKey key, FunctionRef<Result<Value>()> loader, bool* was_hit,
-    bool* consumed_prefetch) {
+    PackedCellKey key, FunctionRef<Result<Value>()> loader, bool* was_hit) {
   // With no pool the loader runs inline, before GetOrComputeAsync returns,
   // so the Loader wrapping this non-owning reference never outlives it.
   AsyncHandle handle = GetOrComputeAsync(
       key, [&loader] { return Loader(loader); }, /*pool=*/nullptr,
-      LoadKind::kDemand, consumed_prefetch);
+      LoadKind::kDemand);
   if (was_hit != nullptr) *was_hit = handle.hit();
   return handle.Wait();
 }
@@ -258,8 +249,8 @@ void LruCache::Complete(Table::value_type& registered,
         PrefetchWastedCounter()->Add();
       }
     }
-    // Only an uncached outcome (error, oversize, admission reject) pays a
-    // second hash here.
+    // Only an uncached outcome (an error or an oversize value) pays a second
+    // hash here.
     if (!slot.cached) table_.erase(key);
   }
   state->cv.notify_all();
@@ -326,7 +317,7 @@ CacheStats LruCache::stats() const {
 void LruCache::PutLocked(PackedCellKey key, Slot& slot, Value value,
                          bool prefetched) {
   if (value == nullptr) return;
-  if (value->size() > options_.capacity_bytes) {
+  if (value->size() > capacity_bytes_) {
     // Too big to ever fit: refuse to cache, but loudly. Waiters still get
     // the value (Complete resolves their state before calling us).
     ++stats_.rejected_oversize;
@@ -351,15 +342,6 @@ void LruCache::PutLocked(PackedCellKey key, Slot& slot, Value value,
     stats_.bytes_cached += slot.entry->value->size();
     lru_.splice(lru_.begin(), lru_, slot.entry);
   } else {
-    if (options_.admit_on_second_touch && !AdmitLocked(key)) {
-      ++stats_.admission_rejects;
-      AdmissionRejectCounter()->Add();
-      if (prefetched) {
-        ++stats_.prefetch_wasted;
-        PrefetchWastedCounter()->Add();
-      }
-      return;
-    }
     lru_.push_front(Entry{key, std::move(value), prefetched});
     slot.entry = lru_.begin();
     slot.cached = true;
@@ -370,17 +352,8 @@ void LruCache::PutLocked(PackedCellKey key, Slot& slot, Value value,
   EvictIfNeededLocked();
 }
 
-bool LruCache::AdmitLocked(PackedCellKey key) {
-  if (touch_filter_.erase(key) > 0) return true;
-  if (touch_filter_.size() >= options_.touch_filter_keys) {
-    touch_filter_.clear();
-  }
-  touch_filter_.insert(key);
-  return false;
-}
-
 void LruCache::EvictIfNeededLocked() {
-  while (stats_.bytes_cached > options_.capacity_bytes && !lru_.empty()) {
+  while (stats_.bytes_cached > capacity_bytes_ && !lru_.empty()) {
     const Entry& victim = lru_.back();
     if (victim.prefetched) {
       ++stats_.prefetch_wasted;

@@ -9,7 +9,6 @@
 #include <mutex>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/function_ref.h"
@@ -41,11 +40,6 @@ struct CacheStats {
   /// cell shows up here instead of thrashing invisibly.
   uint64_t rejected_oversize = 0;
 
-  /// New values the admit-on-second-touch policy refused to cache (first
-  /// touch goes into the filter, not the cache). Zero unless the policy is
-  /// enabled. The value is still delivered to every waiter.
-  uint64_t admission_rejects = 0;
-
   /// Speculative loads actually dispatched (not already cached/in flight).
   uint64_t prefetch_issued = 0;
   /// Prefetched values later consumed by a demand read — including demand
@@ -53,9 +47,9 @@ struct CacheStats {
   /// promotions credited via CreditPrefetchConsumption.
   uint64_t prefetch_hits = 0;
   /// Prefetched values that never served a demand read: evicted, erased,
-  /// dropped by Clear, displaced by a later Put, rejected as oversize or by
-  /// admission, or failed to load. Every issued prefetch eventually lands
-  /// in exactly one of hits/wasted (or is still cached/in flight), so
+  /// dropped by Clear, displaced by a later Put, rejected as oversize, or
+  /// failed to load. Every issued prefetch eventually lands in exactly one
+  /// of hits/wasted (or is still cached/in flight), so
   ///   prefetch_issued == prefetch_hits + prefetch_wasted
   /// holds once the cache is drained and cleared.
   uint64_t prefetch_wasted = 0;
@@ -74,7 +68,6 @@ struct CacheStats {
     bytes_cached += other.bytes_cached;
     coalesced += other.coalesced;
     rejected_oversize += other.rejected_oversize;
-    admission_rejects += other.admission_rejects;
     prefetch_issued += other.prefetch_issued;
     prefetch_hits += other.prefetch_hits;
     prefetch_wasted += other.prefetch_wasted;
@@ -94,28 +87,11 @@ inline CacheStats operator-(const CacheStats& after,
   delta.bytes_cached = after.bytes_cached;
   delta.coalesced = after.coalesced - before.coalesced;
   delta.rejected_oversize = after.rejected_oversize - before.rejected_oversize;
-  delta.admission_rejects = after.admission_rejects - before.admission_rejects;
   delta.prefetch_issued = after.prefetch_issued - before.prefetch_issued;
   delta.prefetch_hits = after.prefetch_hits - before.prefetch_hits;
   delta.prefetch_wasted = after.prefetch_wasted - before.prefetch_wasted;
   return delta;
 }
-
-/// Construction options for LruCache.
-struct LruCacheOptions {
-  /// Zero disables caching entirely.
-  size_t capacity_bytes = 0;
-  /// Admit a *new* key only on its second load within the filter's memory:
-  /// the first load parks the key in a small touch filter and the value is
-  /// delivered but not cached; a later load of the same key admits it.
-  /// Filters one-touch-wonder scans out of a shared tier (the classic L2
-  /// problem: 10k viewers each touching a cold tail cell once would churn
-  /// the whole tier). Replacements of already-cached keys always proceed.
-  bool admit_on_second_touch = false;
-  /// Touch-filter capacity in keys; when full it is cleared wholesale (a
-  /// deterministic, allocation-stable approximation of aging out).
-  size_t touch_filter_keys = 4096;
-};
 
 /// \brief Byte-bounded LRU cache from packed 64-bit cell keys to immutable
 /// byte buffers.
@@ -171,7 +147,6 @@ class LruCache {
 
   /// `capacity_bytes` of zero disables caching entirely.
   explicit LruCache(size_t capacity_bytes);
-  explicit LruCache(const LruCacheOptions& options);
 
   /// Returns the cached value or nullptr, updating recency and stats.
   Value Get(PackedCellKey key);
@@ -191,14 +166,10 @@ class LruCache {
   /// Errors are not cached — the next caller retries the load. Also
   /// coalesces with loads started by GetOrComputeAsync. When `was_hit` is
   /// non-null it is set to whether the value was served from cache without
-  /// waiting on any load. When `consumed_prefetch` is non-null it is set to
-  /// whether this call was the first demand touch of a prefetched value
-  /// (tiered callers use this to credit the copy in the other tier via
-  /// CreditPrefetchConsumption).
+  /// waiting on any load.
   Result<Value> GetOrCompute(PackedCellKey key,
                              FunctionRef<Result<Value>()> loader,
-                             bool* was_hit = nullptr,
-                             bool* consumed_prefetch = nullptr);
+                             bool* was_hit = nullptr);
 
   /// Asynchronous GetOrCompute: the load is dispatched to `pool` (demand
   /// loads on the high-priority lane, prefetch loads on the low lane) and a
@@ -211,13 +182,15 @@ class LruCache {
   /// calling thread and returns an already-resolved handle. `kind` selects
   /// statistics: kPrefetch loads never touch hit/miss counters and tag the
   /// cached value so later demand consumption (or eviction without it) is
-  /// attributed to prefetching. `consumed_prefetch` is as in GetOrCompute
-  /// (only a demand `kind` ever sets it).
+  /// attributed to prefetching. When `consumed_prefetch` is non-null it is
+  /// set to whether this call was the first demand touch of a prefetched
+  /// value (tiered callers use this to credit the copy in the other tier
+  /// via CreditPrefetchConsumption); only a demand `kind` ever sets it.
   ///
   /// Cost: every call hashes the key once, and a hit allocates nothing. A
   /// load's completion hashes again only to drop an uncached outcome (an
-  /// error, an oversize value, an admission reject); evictions it causes
-  /// hash each victim's key.
+  /// error or an oversize value); evictions it causes hash each victim's
+  /// key.
   AsyncHandle GetOrComputeAsync(PackedCellKey key, LoaderFactory make_loader,
                                 ThreadPool* pool, LoadKind kind,
                                 bool* consumed_prefetch = nullptr);
@@ -270,7 +243,7 @@ class LruCache {
   void Clear();
 
   CacheStats stats() const;
-  size_t capacity_bytes() const { return options_.capacity_bytes; }
+  size_t capacity_bytes() const { return capacity_bytes_; }
 
  private:
   struct Entry {
@@ -303,22 +276,19 @@ class LruCache {
   /// a prefetched value (cleared its tag).
   bool TouchLocked(Entry* entry);
 
-  /// Stores `value` into `key`'s `slot`, applying oversize and admission
-  /// policy. May leave the slot neither cached nor in flight; the caller
-  /// then erases it.
+  /// Stores `value` into `key`'s `slot`, refusing a value larger than the
+  /// whole cache. May leave the slot neither cached nor in flight; the
+  /// caller then erases it.
   void PutLocked(PackedCellKey key, Slot& slot, Value value, bool prefetched);
-  /// Second-touch filter decision for a new key; true = admit now.
-  bool AdmitLocked(PackedCellKey key);
   void EvictIfNeededLocked();
   /// Erases the slot when it holds neither a cached entry nor an in-flight
   /// load.
   void EraseSlotIfEmptyLocked(Table::iterator it);
 
-  const LruCacheOptions options_;
+  const size_t capacity_bytes_;
   mutable std::mutex mu_;
   std::list<Entry> lru_;  // front = most recent
   Table table_;
-  std::unordered_set<PackedCellKey, CellKeyHash> touch_filter_;
   CacheStats stats_;
 };
 

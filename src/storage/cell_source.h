@@ -8,8 +8,12 @@
 #include "storage/cache.h"
 #include "storage/cell_key.h"
 #include "storage/metadata.h"
+#include "storage/tiered_cache.h"
 
 namespace vc {
+
+class ShardMap;
+class StorageManager;
 
 /// \brief Read-side interface over stored segment cells.
 ///
@@ -17,8 +21,9 @@ namespace vc {
 /// between the serving layer and the storage topology: a plain
 /// StorageManager satisfies it directly, and a sharded store's per-node
 /// view (private L1 over a shared L2, cells routed to their owning backend
-/// by consistent hash) satisfies it too — the session code cannot tell the
-/// difference. Implementations are thread-safe.
+/// by consistent hash) satisfies it too, both through TieredCellSource
+/// below — the session code cannot tell the difference. Implementations are
+/// thread-safe.
 class CellSource {
  public:
   virtual ~CellSource() = default;
@@ -50,45 +55,46 @@ class CellSource {
   virtual CacheStats cache_stats() const = 0;
 };
 
-/// \brief The bookkeeping every ReadPlannedCells implementation shares:
-/// one segment's cells read as a cache batch (LruCache::ReadBatch), plus
-/// the loads the batch left pending.
+/// \brief The one cell read: a TieredCache over one or more backends.
 ///
-/// Metrics are recorded once per batch. `storage.cell_reads` and
-/// `storage.cell_read_bytes` get one add each. `storage.read_seconds` gets
-/// one 0 s observation per hit, read without any clock, and one timed
-/// observation per pending read. A pending read that was not a hit is also
-/// observed in `storage.demand_miss_seconds`.
-class PlannedCellRead {
+/// A StorageManager is one with no L2 and itself as its only backend; a
+/// ShardedStore node is one with a private L1 over the shared L2 and the
+/// shards as backends, routed by the ShardMap. A miss runs the owning
+/// backend's CellLoader on that backend's I/O pool (inline without one).
+/// ReadPlannedCells makes one cache pass per segment (TieredCache::
+/// ReadBatch), and ReadCell is a pass of one cell. The storage.* read
+/// metrics are registered here only: a cell not resolved in place is
+/// observed as its dispatch, which includes an inline load, plus its wait.
+class TieredCellSource : public CellSource {
  public:
-  /// Checks the plan and packs its cells' keys in tile order.
-  /// InvalidArgument unless `segment` is a segment of `metadata` and
-  /// `tile_qualities` holds one in-range rung per tile.
-  Status Plan(const VideoMetadata& metadata, int segment,
-              const std::vector<int>& tile_qualities);
-  /// The planned cells' keys, in tile order (the batch's input).
-  const std::vector<PackedCellKey>& keys() const { return keys_; }
+  Result<LruCache::Value> ReadCell(const VideoMetadata& metadata, int segment,
+                                   int tile, int quality) final;
+  Result<LruCache::AsyncHandle> ReadCellAsync(
+      const VideoMetadata& metadata, int segment, int tile, int quality,
+      LoadKind kind = LoadKind::kDemand) final;
+  Status ReadPlannedCells(const VideoMetadata& metadata, int segment,
+                          const std::vector<int>& tile_qualities) final;
+  /// The L1's statistics.
+  CacheStats cache_stats() const final { return tiers_.l1_stats(); }
 
-  /// Records one key the batch did not resolve in place, in tile order.
-  /// `dispatch_seconds` is time already spent dispatching it (the inline
-  /// load of a synchronous store); its observation adds the wait on
-  /// `handle`.
-  void AddPending(LruCache::AsyncHandle handle,
-                  double dispatch_seconds = 0.0) {
-    pending_.push_back(Pending{std::move(handle), dispatch_seconds});
-  }
+ protected:
+  /// `backends` load the cold cells: `backends[0]` without a `shard_map`,
+  /// else `backends[shard_map->ShardFor(key)]`. A null `l2` reads through
+  /// the L1 alone. Everything passed in must outlive this.
+  TieredCellSource(size_t l1_capacity_bytes, LruCache* l2,
+                   std::vector<StorageManager*> backends,
+                   const ShardMap* shard_map);
 
-  /// Waits on every pending read in tile order and records the batch's
-  /// metrics. Returns the first error in tile order (hits cannot fail).
-  Status Finish(const LruCache::BatchHits& hits);
+  TieredCache tiers_;
 
  private:
-  struct Pending {
-    LruCache::AsyncHandle handle;
-    double dispatch_seconds = 0.0;
-  };
-  std::vector<PackedCellKey> keys_;
-  std::vector<Pending> pending_;
+  /// Reads one in-range cell through the tiers, dispatching a miss on the
+  /// pool of the backend that owns `key`.
+  LruCache::AsyncHandle Dispatch(const VideoMetadata& metadata, CellKey cell,
+                                 PackedCellKey key, LoadKind kind);
+
+  std::vector<StorageManager*> backends_;
+  const ShardMap* shard_map_;
 };
 
 }  // namespace vc

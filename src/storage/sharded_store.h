@@ -22,11 +22,6 @@ struct ShardedStoreOptions {
   int vnodes_per_shard = 64;
   /// Cluster-shared L2 cache over all backends.
   size_t l2_capacity_bytes = 256ull << 20;
-  /// Admit new keys into the shared L2 only on their second load (see
-  /// LruCacheOptions.admit_on_second_touch). Off by default; flipping it
-  /// never changes served bytes or outcomes, only which loads the L2
-  /// retains.
-  bool l2_admit_on_second_touch = false;
 };
 
 /// \brief Cells consistent-hashed across N storage backends under a shared
@@ -45,25 +40,15 @@ class ShardedStore {
   static Result<std::unique_ptr<ShardedStore>> Open(
       const ShardedStoreOptions& options);
 
-  /// One serving node's read view: private L1 over the store's shared L2.
-  /// Create one per simulated server node; destroy before the store.
-  class Node : public CellSource {
+  /// One serving node's read view: private L1 over the store's shared L2,
+  /// with the shards as backends. Create one per simulated server node;
+  /// destroy before the store.
+  class Node final : public TieredCellSource {
    public:
-    Result<LruCache::Value> ReadCell(const VideoMetadata& metadata,
-                                     int segment, int tile,
-                                     int quality) override;
-    Result<LruCache::AsyncHandle> ReadCellAsync(
-        const VideoMetadata& metadata, int segment, int tile, int quality,
-        LoadKind kind = LoadKind::kDemand) override;
-    Status ReadPlannedCells(const VideoMetadata& metadata, int segment,
-                            const std::vector<int>& tile_qualities) override;
     /// A representative backend pool (the prefetcher sizes its in-flight
     /// cap from it); loads are actually dispatched on the owning shard's
     /// pool per cell. Null when backends run synchronous.
     ThreadPool* io_pool() const override;
-    /// This node's private L1 statistics.
-    CacheStats cache_stats() const override { return tiers_.l1_stats(); }
-
     int node_id() const { return node_id_; }
     /// Drops the node's L1 (stats preserved).
     void ClearL1() { tiers_.ClearL1(); }
@@ -74,7 +59,6 @@ class ShardedStore {
 
     ShardedStore* store_;
     int node_id_;
-    TieredCache tiers_;
   };
 
   /// Creates a serving node with a private `l1_capacity_bytes` cache.

@@ -5,20 +5,11 @@
 #include <thread>
 
 #include "common/crc32.h"
-#include "common/stopwatch.h"
-#include "obs/metrics.h"
-#include "obs/scoped_timer.h"
 #include "storage/cell_key.h"
 
 namespace vc {
 
 namespace {
-
-Histogram* DemandMissHistogram() {
-  static Histogram* histogram =
-      MetricRegistry::Global().GetHistogram("storage.demand_miss_seconds");
-  return histogram;
-}
 
 constexpr char kMetadataPrefix[] = "metadata.v";
 constexpr char kMetadataSuffix[] = ".vcmf";
@@ -44,7 +35,9 @@ uint32_t VersionFromMetadataName(const std::string& filename) {
 }  // namespace
 
 StorageManager::StorageManager(const StorageOptions& options)
-    : options_(options), cache_(options.cache_capacity_bytes) {
+    : TieredCellSource(options.cache_capacity_bytes, /*l2=*/nullptr, {this},
+                       /*shard_map=*/nullptr),
+      options_(options) {
   if (options.io_threads > 0) {
     io_pool_ = std::make_unique<ThreadPool>(options.io_threads);
   }
@@ -247,9 +240,8 @@ Result<VideoMetadata> StorageManager::GetVideoVersion(
   return VideoMetadata::Parse(Slice(*bytes));
 }
 
-LruCache::Loader StorageManager::MakeCellLoader(const VideoMetadata& metadata,
-                                                int segment, int tile,
-                                                int quality) const {
+LruCache::Loader StorageManager::CellLoader(const VideoMetadata& metadata,
+                                            CellKey cell) const {
   // Owning captures only: the loader may run on an I/O pool thread after
   // the calling frame (and its metadata reference) is gone.
   // <root>/<name>/<data dir>/<cell file>, built in one reserved string.
@@ -258,8 +250,8 @@ LruCache::Loader StorageManager::MakeCellLoader(const VideoMetadata& metadata,
                metadata.data_dir.size() + 48);
   path.append(options_.root).append("/").append(metadata.name).append("/");
   path.append(metadata.DataDir()).append("/");
-  metadata.AppendCellFileName(segment, tile, quality, &path);
-  CellInfo info = metadata.cells[metadata.CellIndex(segment, tile, quality)];
+  metadata.AppendCellFileName(cell.segment, cell.tile, cell.quality, &path);
+  CellInfo info = metadata.cells[cell.Index(metadata)];
   Env* env = options_.env;
   double latency = options_.read_latency_seconds;
   return [path = std::move(path), info, env,
@@ -276,90 +268,13 @@ LruCache::Loader StorageManager::MakeCellLoader(const VideoMetadata& metadata,
   };
 }
 
-Result<LruCache::Value> StorageManager::ReadCell(
-    const VideoMetadata& metadata, int segment, int tile, int quality) {
-  static Counter* cell_reads =
-      MetricRegistry::Global().GetCounter("storage.cell_reads");
-  static Counter* cell_read_bytes =
-      MetricRegistry::Global().GetCounter("storage.cell_read_bytes");
-  static Histogram* read_seconds =
-      MetricRegistry::Global().GetHistogram("storage.read_seconds");
-  if (!CellKey{segment, tile, quality}.InRange(metadata)) {
-    return Status::InvalidArgument("cell coordinates out of range");
-  }
-  ScopedTimer timer(read_seconds);
-  cell_reads->Add();
-  // Single-flight through the cache: when many concurrent sessions miss on
-  // the same popular cell, exactly one hits the filesystem; the rest share
-  // its result. The packed cache key is three shifts and an OR (the hot
-  // path of a warm server is this lookup); the file path is only built
-  // inside the loader, which runs on misses.
-  bool was_hit = false;
-  Stopwatch stopwatch;
-  Result<LruCache::Value> value =
-      cache_.GetOrCompute(CellKey{segment, tile, quality}.Packed(metadata),
-                          [this, &metadata, segment, tile,
-                           quality]() -> Result<LruCache::Value> {
-                            return MakeCellLoader(metadata, segment, tile,
-                                                  quality)();
-                          },
-                          &was_hit);
-  if (!was_hit) DemandMissHistogram()->Observe(stopwatch.ElapsedSeconds());
-  if (value.ok()) cell_read_bytes->Add((*value)->size());
-  return value;
-}
-
-Result<LruCache::AsyncHandle> StorageManager::ReadCellAsync(
-    const VideoMetadata& metadata, int segment, int tile, int quality,
-    LoadKind kind) {
-  static Counter* cell_reads =
-      MetricRegistry::Global().GetCounter("storage.cell_reads");
-  if (!CellKey{segment, tile, quality}.InRange(metadata)) {
-    return Status::InvalidArgument("cell coordinates out of range");
-  }
-  if (kind == LoadKind::kDemand) cell_reads->Add();
-  // A null pool makes GetOrComputeAsync run the load synchronously and
-  // return a resolved handle, so callers need not care whether the store
-  // has an I/O pipeline. The loader (path string, owning captures) is
-  // built only on a miss.
-  return cache_.GetOrComputeAsync(
-      CellKey{segment, tile, quality}.Packed(metadata),
-      [&] { return MakeCellLoader(metadata, segment, tile, quality); },
-      io_pool_.get(), kind);
-}
-
-Status StorageManager::ReadPlannedCells(const VideoMetadata& metadata,
-                                        int segment,
-                                        const std::vector<int>& tile_qualities) {
-  PlannedCellRead read;
-  VC_RETURN_IF_ERROR(read.Plan(metadata, segment, tile_qualities));
-  // One pass through the cache: hits resolve in place under one lock, and
-  // each other cell is dispatched as it comes, so with an I/O pool the cold
-  // tiles overlap and without one they load inline, in tile order. A miss's
-  // observation spans its dispatch (the inline load) and its wait.
-  LruCache::BatchHits hits = cache_.ReadBatch(read.keys(), [&](size_t i) {
-    const int tile = static_cast<int>(i);
-    Stopwatch dispatch;
-    LruCache::AsyncHandle handle = cache_.GetOrComputeAsync(
-        read.keys()[i],
-        [&] {
-          return MakeCellLoader(metadata, segment, tile, tile_qualities[i]);
-        },
-        io_pool_.get(), LoadKind::kDemand);
-    read.AddPending(std::move(handle), dispatch.ElapsedSeconds());
-  });
-  return read.Finish(hits);
-}
-
-void StorageManager::ClearCache() { cache_.Clear(); }
-
 Status StorageManager::DropVideo(const std::string& name) {
   auto versions = ListVersions(name);
   if (!versions.ok() || versions->empty()) {
     return Status::NotFound("video '" + name + "' not in catalog");
   }
   VC_RETURN_IF_ERROR(options_.env->RemoveDirRecursive(VideoDir(name)));
-  cache_.Clear();
+  ClearCache();
   return Status::OK();
 }
 

@@ -40,8 +40,9 @@ struct StorageOptions {
 /// Writes are copy-on-write: committing a video always creates version
 /// max+1; readers that opened version N keep seeing exactly N's files
 /// (snapshot isolation by immutability). Cell reads are checksum-verified
-/// and served through an LRU buffer cache at cell (≈GOP) granularity.
-class StorageManager : public CellSource {
+/// and served through an LRU buffer cache at cell (≈GOP) granularity: the
+/// TieredCellSource read with no L2 and this store as its only backend.
+class StorageManager final : public TieredCellSource {
  public:
   /// Opens (creating the root directory if needed).
   static Result<std::unique_ptr<StorageManager>> Open(
@@ -104,66 +105,32 @@ class StorageManager : public CellSource {
   Result<VideoMetadata> GetVideoVersion(const std::string& name,
                                         uint32_t version) const;
 
-  /// Reads one encoded cell stream (checksum-verified, cached).
-  Result<LruCache::Value> ReadCell(const VideoMetadata& metadata, int segment,
-                                   int tile, int quality) override;
-
-  /// Asynchronous ReadCell: validates coordinates, then hands the load to
-  /// the I/O pool and returns a handle to its eventual outcome. Demand
-  /// loads run on the pool's high-priority lane; kPrefetch loads run on the
-  /// low lane and stay invisible to the cache's hit/miss statistics.
-  /// Single-flight with every other sync/async read of the same cell. When
-  /// the store was opened with `io_threads == 0` the load runs
-  /// synchronously on the caller's thread and an already-resolved handle is
-  /// returned.
-  Result<LruCache::AsyncHandle> ReadCellAsync(
-      const VideoMetadata& metadata, int segment, int tile, int quality,
-      LoadKind kind = LoadKind::kDemand) override;
-
-  /// Demand-reads one cell per tile of `segment` at the planned qualities
-  /// (`tile_qualities[t]` is tile t's ladder rung). With an I/O pool the
-  /// loads are issued as one batch and overlap; without one they run
-  /// sequentially. Returns the first error in tile order.
-  Status ReadPlannedCells(const VideoMetadata& metadata, int segment,
-                          const std::vector<int>& tile_qualities) override;
-
   /// Removes a video and all of its versions from disk and cache.
   Status DropVideo(const std::string& name);
 
-  /// Buffer-cache statistics.
-  CacheStats cache_stats() const override { return cache_.stats(); }
-
   /// Drops every cached cell (statistics are preserved). Benchmarks use
   /// this to measure cold-vs-warm cache behaviour between runs.
-  void ClearCache();
+  void ClearCache() { tiers_.ClearL1(); }
 
   Env* env() const { return options_.env; }
   const std::string& root() const { return options_.root; }
   /// The async cell-load pool, or nullptr when `io_threads == 0`.
   ThreadPool* io_pool() const override { return io_pool_.get(); }
 
-  /// The (owning) loader that reads and checksum-verifies one cell of this
-  /// store, bypassing its cache; safe to run on a pool thread after the
-  /// caller returns. Sharded stores use this to route a cell to its owning
-  /// backend while caching in their own tiers.
-  LruCache::Loader CellLoader(const VideoMetadata& metadata, int segment,
-                              int tile, int quality) const {
-    return MakeCellLoader(metadata, segment, tile, quality);
-  }
+  /// The (owning) loader that reads and checksum-verifies one in-range
+  /// cell of this store, bypassing every cache; safe to run on a pool
+  /// thread after the caller returns. Every cell read's miss runs one.
+  LruCache::Loader CellLoader(const VideoMetadata& metadata,
+                              CellKey cell) const;
 
  private:
   explicit StorageManager(const StorageOptions& options);
 
   std::string VideoDir(const std::string& name) const;
   std::string MetadataPath(const std::string& name, uint32_t version) const;
-  /// Builds the (owning) loader that reads and checksum-verifies one cell;
-  /// safe to run on a pool thread after the caller returns.
-  LruCache::Loader MakeCellLoader(const VideoMetadata& metadata, int segment,
-                                  int tile, int quality) const;
 
   StorageOptions options_;
-  LruCache cache_;
-  /// Declared after cache_: destroyed (shut down and joined) first, so no
+  /// Destroyed (shut down and joined) before the base's cache, so no
   /// in-flight loader can touch a dead cache.
   std::unique_ptr<ThreadPool> io_pool_;
   mutable std::mutex writer_mu_;  ///< serializes version assignment

@@ -7,25 +7,12 @@ namespace vc {
 TieredCache::TieredCache(size_t l1_capacity_bytes, LruCache* l2)
     : l1_(l1_capacity_bytes), l2_(l2) {}
 
-Result<LruCache::Value> TieredCache::GetOrCompute(
-    PackedCellKey key, FunctionRef<Result<LruCache::Value>()> loader,
-    bool* was_hit) {
-  bool consumed_l1_prefetch = false;
-  Result<LruCache::Value> value = l1_.GetOrCompute(
-      key,
-      // The reference capture is safe here: a synchronous loader runs
-      // inside this call, on this thread.
-      [this, key, &loader]() -> Result<LruCache::Value> {
-        return l2_->GetOrCompute(key, loader);
-      },
-      was_hit, &consumed_l1_prefetch);
-  if (consumed_l1_prefetch) l2_->CreditPrefetchConsumption(key);
-  return value;
-}
-
 LruCache::AsyncHandle TieredCache::GetOrComputeAsync(
     PackedCellKey key, LruCache::LoaderFactory make_loader, ThreadPool* pool,
     LoadKind kind) {
+  if (l2_ == nullptr) {
+    return l1_.GetOrComputeAsync(key, make_loader, pool, kind);
+  }
   // Without a pool the L1 runs its loader inline, before the L1 call below
   // returns, so the L2 read can borrow `make_loader` and build the owning
   // backend loader only on an L2 miss.
@@ -57,6 +44,7 @@ LruCache::AsyncHandle TieredCache::GetOrComputeAsync(
 
 LruCache::BatchHits TieredCache::ReadBatch(
     std::span<const PackedCellKey> keys, FunctionRef<void(size_t)> read_miss) {
+  if (l2_ == nullptr) return l1_.ReadBatch(keys, read_miss);
   std::vector<PackedCellKey> consumed;
   auto credit_l2 = [this, &consumed] {
     for (PackedCellKey key : consumed) l2_->CreditPrefetchConsumption(key);

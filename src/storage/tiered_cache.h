@@ -6,13 +6,15 @@
 
 namespace vc {
 
-/// \brief A node-private L1 LruCache over a cluster-shared L2.
+/// \brief A private L1 LruCache, optionally over a shared L2.
 ///
 /// Every read goes through the L1 first; an L1 miss loads through the L2,
 /// which in turn runs the backend loader on a miss. Both tiers keep their
 /// single-flight behaviour, so N nodes missing on the same popular cell at
 /// once still read it from the backing store exactly once — the L2 coalesces
 /// the cross-node loads the way one LruCache coalesces cross-session loads.
+/// With a null L2 (a single store's own cache) an L1 miss runs the backend
+/// loader directly, and the tier behaves exactly as one LruCache.
 ///
 /// Prefetch attribution stays honest across tiers: a prefetch fills both
 /// tiers tagged, and when a demand read consumes the L1 copy the L2 copy is
@@ -23,16 +25,11 @@ namespace vc {
 /// eviction counts as wasted there. Each tier's own
 /// `issued == hits + wasted` invariant still holds.
 ///
-/// Thread-safe; `l2` is shared with other nodes and must outlive this.
+/// Thread-safe; `l2`, when given, is shared with other nodes and must
+/// outlive this.
 class TieredCache {
  public:
   TieredCache(size_t l1_capacity_bytes, LruCache* l2);
-
-  /// Synchronous tiered read: L1, then L2, then `loader`. `was_hit` reports
-  /// an L1 hit (the cheap, node-local case).
-  Result<LruCache::Value> GetOrCompute(
-      PackedCellKey key, FunctionRef<Result<LruCache::Value>()> loader,
-      bool* was_hit = nullptr);
 
   /// Asynchronous tiered read: the L1 dispatches one task to `pool` (use
   /// the owning backend's I/O pool so load concurrency is bounded per
@@ -61,14 +58,13 @@ class TieredCache {
                                 FunctionRef<void(size_t)> read_miss);
 
   CacheStats l1_stats() const { return l1_.stats(); }
-  LruCache* l2() const { return l2_; }
 
   /// Drops the L1 (stats preserved); the shared L2 is left alone.
   void ClearL1() { l1_.Clear(); }
 
  private:
   LruCache l1_;
-  LruCache* l2_;
+  LruCache* l2_;  ///< Null: L1 misses run the backend loader directly.
 };
 
 }  // namespace vc

@@ -1035,44 +1035,6 @@ TEST_F(ServerTest, IdenticalViewersShareEveryPlanAfterTheFirst) {
             4 * static_cast<uint64_t>(metadata.segment_count()));
 }
 
-TEST_F(ServerTest, L2AdmissionToggleKeepsClusterOutcomeByteIdentical) {
-  // Admit-on-second-touch only decides what the shared L2 *retains*; every
-  // read still delivers the same bytes, so cluster outcomes are invariant.
-  VideoMetadata metadata = Metadata();
-  std::vector<VideoMetadata> videos = {metadata};
-
-  auto run_with = [&](bool second_touch) {
-    ShardedStoreOptions store_options;
-    store_options.backend.env = env_;
-    store_options.backend.root = "/vcdb";
-    store_options.shards = 2;
-    store_options.l2_admit_on_second_touch = second_touch;
-    auto store = ShardedStore::Open(store_options);
-    EXPECT_TRUE(store.ok());
-    ClusterOptions options;
-    options.nodes = 2;
-    ClusterServer cluster(store->get(), options);
-    auto run = cluster.Run(videos, MakeViewers(6));
-    EXPECT_TRUE(run.ok()) << run.status().ToString();
-    return *run;
-  };
-
-  ClusterStats filtered = run_with(true);
-  ClusterStats open = run_with(false);
-
-  EXPECT_EQ(filtered.totals.bytes_sent, open.totals.bytes_sent);
-  EXPECT_EQ(filtered.totals.stall_seconds, open.totals.stall_seconds);
-  ASSERT_EQ(filtered.totals.sessions.size(), open.totals.sessions.size());
-  for (size_t i = 0; i < filtered.totals.sessions.size(); ++i) {
-    ExpectSameStats(filtered.totals.sessions[i], open.totals.sessions[i]);
-  }
-  // The policy visibly filtered first touches out of the L2...
-  EXPECT_GT(filtered.l2.admission_rejects, 0u);
-  EXPECT_EQ(open.l2.admission_rejects, 0u);
-  // ...and each rejected first touch showed up as an extra L2 miss.
-  EXPECT_GE(filtered.l2.misses, open.l2.misses);
-}
-
 TEST_F(ServerTest, PrefetchChurnCountersSurfaceInServerStats) {
   // Per-session hints repeat across a cohort streaming one video; the
   // dedupe TTL suppresses the repeats instead of queueing and cancelling

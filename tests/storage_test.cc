@@ -1103,21 +1103,23 @@ TEST(TieredCacheTest, L1OverL2ServesAndAccountsBothTiers) {
   };
 
   // Cold read on node A: misses both tiers, runs the loader once.
-  bool was_hit = true;
-  ASSERT_TRUE(node_a.GetOrCompute(11, loader, &was_hit).ok());
-  EXPECT_FALSE(was_hit);
+  auto read = node_a.GetOrComputeAsync(11, loader, nullptr, LoadKind::kDemand);
+  ASSERT_TRUE(read.Wait().ok());
+  EXPECT_FALSE(read.hit());
   EXPECT_EQ(loads, 1);
 
   // Warm on node A: pure L1 hit, the L2 is not consulted.
-  ASSERT_TRUE(node_a.GetOrCompute(11, loader, &was_hit).ok());
-  EXPECT_TRUE(was_hit);
+  read = node_a.GetOrComputeAsync(11, loader, nullptr, LoadKind::kDemand);
+  ASSERT_TRUE(read.Wait().ok());
+  EXPECT_TRUE(read.hit());
   EXPECT_EQ(loads, 1);
   EXPECT_EQ(node_a.l1_stats().hits, 1u);
 
   // Cold on node B: its private L1 misses, but the shared L2 has it — the
   // backend loader does not run again. Cross-node sharing via the L2.
-  ASSERT_TRUE(node_b.GetOrCompute(11, loader, &was_hit).ok());
-  EXPECT_FALSE(was_hit) << "hit means node-local L1";
+  read = node_b.GetOrComputeAsync(11, loader, nullptr, LoadKind::kDemand);
+  ASSERT_TRUE(read.Wait().ok());
+  EXPECT_FALSE(read.hit()) << "hit means node-local L1";
   EXPECT_EQ(loads, 1);
   EXPECT_EQ(node_b.l1_stats().misses, 1u);
   EXPECT_EQ(l2.stats().hits, 1u);
@@ -1194,16 +1196,15 @@ TEST(TieredCacheTest, PromotionCreditsL2PrefetchNotWasted) {
   EXPECT_EQ(node.l1_stats().prefetch_issued, 1u);
   EXPECT_EQ(l2.stats().prefetch_issued, 1u);
 
-  bool was_hit = false;
-  ASSERT_TRUE(node.GetOrCompute(
-                      11,
-                      []() -> Result<LruCache::Value> {
-                        ADD_FAILURE() << "prefetched cell must not reload";
-                        return Status::Internal("unexpected load");
-                      },
-                      &was_hit)
-                  .ok());
-  EXPECT_TRUE(was_hit);
+  auto demand = node.GetOrComputeAsync(
+      11,
+      []() -> Result<LruCache::Value> {
+        ADD_FAILURE() << "prefetched cell must not reload";
+        return Status::Internal("unexpected load");
+      },
+      nullptr, LoadKind::kDemand);
+  ASSERT_TRUE(demand.Wait().ok());
+  EXPECT_TRUE(demand.hit());
 
   // Drop everything: neither tier may call the consumed speculation wasted.
   node.ClearL1();
@@ -1589,92 +1590,6 @@ TEST(CellKeyHashTest, UnifiedIndexHashesOncePerHit) {
   EXPECT_EQ(CellKeyHash::invocations.load() - before, 1u);
 }
 
-// ------------------------------------------------------ Admission control
-
-TEST(LruCacheTest, SecondTouchAdmissionFiltersOneTouchWonders) {
-  LruCacheOptions options;
-  options.capacity_bytes = 1 << 16;
-  options.admit_on_second_touch = true;
-  LruCache cache(options);
-  int loads = 0;
-  auto loader = [&loads]() -> Result<LruCache::Value> {
-    ++loads;
-    return Bytes(128, 5);
-  };
-
-  // First touch: delivered but not cached — the key parks in the filter.
-  auto first = cache.GetOrCompute(7, loader);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ((*first)->size(), 128u);
-  EXPECT_EQ(cache.stats().bytes_cached, 0u);
-  EXPECT_EQ(cache.stats().admission_rejects, 1u);
-
-  // Second touch: admitted, cached, and the filter forgets the key.
-  auto second = cache.GetOrCompute(7, loader);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(loads, 2);
-  EXPECT_EQ(cache.stats().bytes_cached, 128u);
-  EXPECT_EQ(cache.stats().admission_rejects, 1u);
-
-  // Third: plain hit.
-  ASSERT_TRUE(cache.GetOrCompute(7, loader).ok());
-  EXPECT_EQ(loads, 2);
-  EXPECT_EQ(cache.stats().hits, 1u);
-
-  // Replacing an already-cached key is never filtered.
-  cache.Put(7, Bytes(256, 6));
-  EXPECT_EQ(cache.stats().bytes_cached, 256u);
-  EXPECT_EQ(cache.stats().admission_rejects, 1u);
-}
-
-TEST(LruCacheTest, AdmissionPolicyNeverChangesDeliveredBytes) {
-  // The policy only decides what is *retained*; every caller gets the same
-  // bytes either way. Replay one randomized op sequence against a filtered
-  // and an unfiltered cache and demand byte-identical deliveries.
-  LruCacheOptions filtered;
-  filtered.capacity_bytes = 4096;
-  filtered.admit_on_second_touch = true;
-  filtered.touch_filter_keys = 8;  // force wholesale filter clears too
-  LruCache with(filtered);
-  LruCache without(4096);
-
-  std::mt19937 rng(123u);
-  for (int i = 0; i < 2000; ++i) {
-    PackedCellKey key = rng() % 32;
-    auto loader = [key]() -> Result<LruCache::Value> {
-      return Bytes(64 + key * 8, static_cast<uint8_t>(key));
-    };
-    auto a = with.GetOrCompute(key, loader);
-    auto b = without.GetOrCompute(key, loader);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(**a, **b) << "admission policy changed delivered bytes";
-  }
-  EXPECT_GT(with.stats().admission_rejects, 0u);
-  EXPECT_EQ(without.stats().admission_rejects, 0u);
-}
-
-TEST(LruCacheAsyncTest, AdmissionRejectedPrefetchCountsWasted) {
-  LruCacheOptions options;
-  options.capacity_bytes = 1 << 16;
-  options.admit_on_second_touch = true;
-  LruCache cache(options);
-  // A first-touch prefetch is speculation the filter refuses to retain: it
-  // can never serve a demand read from this cache, so it closes as wasted.
-  ASSERT_TRUE(cache
-                  .GetOrComputeAsync(
-                      9,
-                      []() -> Result<LruCache::Value> { return Bytes(32, 1); },
-                      /*pool=*/nullptr, LoadKind::kPrefetch)
-                  .Wait()
-                  .ok());
-  CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.admission_rejects, 1u);
-  EXPECT_EQ(stats.prefetch_issued, 1u);
-  EXPECT_EQ(stats.prefetch_wasted, 1u);
-  EXPECT_EQ(stats.bytes_cached, 0u);
-}
-
 // ------------------------------------------------------- Prefetch churn
 
 TEST_F(StorageManagerTest, PrefetcherDedupesRepeatHintsWithinTtl) {
@@ -1809,7 +1724,6 @@ void ExpectSameCacheStats(const CacheStats& a, const CacheStats& b) {
   EXPECT_EQ(a.bytes_cached, b.bytes_cached);
   EXPECT_EQ(a.coalesced, b.coalesced);
   EXPECT_EQ(a.rejected_oversize, b.rejected_oversize);
-  EXPECT_EQ(a.admission_rejects, b.admission_rejects);
   EXPECT_EQ(a.prefetch_issued, b.prefetch_issued);
   EXPECT_EQ(a.prefetch_hits, b.prefetch_hits);
   EXPECT_EQ(a.prefetch_wasted, b.prefetch_wasted);
@@ -1821,6 +1735,7 @@ struct ReadMetrics {
   uint64_t cell_read_bytes = 0;
   uint64_t read_observations = 0;
   uint64_t demand_miss_observations = 0;
+  double demand_miss_seconds = 0.0;
 };
 
 ReadMetrics ReadMetricsNow() {
@@ -1831,6 +1746,8 @@ ReadMetrics ReadMetricsNow() {
   now.read_observations = snapshot.histograms["storage.read_seconds"].count;
   now.demand_miss_observations =
       snapshot.histograms["storage.demand_miss_seconds"].count;
+  now.demand_miss_seconds =
+      snapshot.histograms["storage.demand_miss_seconds"].sum;
   return now;
 }
 
@@ -1838,7 +1755,8 @@ ReadMetrics operator-(const ReadMetrics& after, const ReadMetrics& before) {
   return {after.cell_reads - before.cell_reads,
           after.cell_read_bytes - before.cell_read_bytes,
           after.read_observations - before.read_observations,
-          after.demand_miss_observations - before.demand_miss_observations};
+          after.demand_miss_observations - before.demand_miss_observations,
+          after.demand_miss_seconds - before.demand_miss_seconds};
 }
 
 /// One step of a replayed read sequence: a planned segment, optionally
@@ -1967,6 +1885,38 @@ TEST_F(StorageManagerTest, NodePlannedBatchMatchesPerCellReads) {
     EXPECT_EQ(batch.cell_read_bytes, one.cell_read_bytes);
     EXPECT_EQ(batch.read_observations, cells);
     EXPECT_EQ(batch.demand_miss_observations, l1.misses);
+  }
+}
+
+TEST_F(StorageManagerTest, PlannedBatchMissTimeIncludesSynchronousLoads) {
+  // A miss is observed as its dispatch plus its wait, so the inline load of
+  // a synchronous backend (here a 2 ms simulated read latency) lands in
+  // storage.demand_miss_seconds on a store and on a node view alike.
+  VideoMetadata m = StoreGridVideo(store_.get(), "grid");
+  constexpr double kLatency = 0.002;
+  const std::vector<int> plan(m.tile_count(), 0);
+  StorageOptions options;
+  options.env = env_.get();
+  options.root = "/store";
+  options.read_latency_seconds = kLatency;
+  auto store = StorageManager::Open(options);
+  ASSERT_TRUE(store.ok());
+  ShardedStoreOptions sharded;
+  sharded.backend = options;
+  sharded.shards = 2;
+  auto cluster = ShardedStore::Open(sharded);
+  ASSERT_TRUE(cluster.ok());
+  auto node = (*cluster)->CreateNode(1 << 16);
+
+  for (CellSource* source :
+       std::vector<CellSource*>{store->get(), node.get()}) {
+    SCOPED_TRACE(source == node.get() ? "node" : "store");
+    ReadMetrics before = ReadMetricsNow();
+    ASSERT_TRUE(source->ReadPlannedCells(m, 1, plan).ok());
+    ReadMetrics cold = ReadMetricsNow() - before;
+    EXPECT_EQ(cold.demand_miss_observations,
+              static_cast<uint64_t>(m.tile_count()));
+    EXPECT_GE(cold.demand_miss_seconds, m.tile_count() * kLatency);
   }
 }
 
